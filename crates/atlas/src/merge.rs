@@ -1,8 +1,9 @@
 //! Folding per-shard atlas segments into one coverage-complete store.
 //!
 //! A sharded sweep leaves `m` segment files, each holding one
-//! contiguous parent-range's records plus a [`ShardMeta`] frame
-//! (`--shard i/m --atlas seg-i` on the sweep binaries). This module —
+//! contiguous share of the parent frontier: its ranges' records plus
+//! one [`ShardMeta`] frame per range (`--shard i/m --atlas seg-i` on
+//! the sweep binaries). This module —
 //! and the `shard_merge` binary wrapping it — folds them into a single
 //! [`ClassificationAtlas`]: records and coverage frames merge under the
 //! conflict semantics of [`ClassificationAtlas::merge_from`] (identical

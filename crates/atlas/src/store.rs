@@ -170,10 +170,11 @@ impl From<std::io::Error> for AtlasError {
     }
 }
 
-/// Metadata of one shard segment: which contiguous range of the sorted
-/// level-`n − 1` parent frontier one sweep invocation classified, what
-/// it cost, and its pruning-counter shares — written into the segment
-/// file by `--shard i/m` runs and folded by `shard_merge` into
+/// Metadata of one committed range: which contiguous range of the
+/// sorted level-`n − 1` parent frontier a sweep classified, what it
+/// cost, and its pruning-counter shares — written after the range's
+/// records by every `--atlas` sweep (a `--shard i/m` run writes its
+/// segment file this way) and folded by `shard_merge` into
 /// coverage declarations and the merged work/RSS report.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardMeta {
@@ -197,17 +198,18 @@ pub struct ShardMeta {
     pub elapsed_ms: u64,
     /// Peak RSS in KiB of the process that ran this shard, at the time
     /// the shard completed (`None` where unmeasurable, e.g. off Linux).
-    /// For a standalone `--shard` process this is that process's own
-    /// `VmHWM`; for an in-process orchestrated range it is a snapshot
-    /// of the *shared* process's high-water mark — see
-    /// [`ShardMeta::orchestrator_run`] and [`ShardMeta::rss_summary`].
+    /// Every range of one run records a snapshot of that *shared*
+    /// process's high-water mark — see [`ShardMeta::orchestrator_run`]
+    /// and [`ShardMeta::rss_summary`].
     pub peak_rss_kb: Option<u64>,
-    /// `None` for a standalone `--shard` process invocation; `Some(id)`
-    /// for a range executed inside an in-process orchestrator run,
-    /// where `id` identifies the run. All ranges of one run share one
-    /// process, so honest RSS accounting must count the run **once**
-    /// (its max snapshot), not sum 256 copies of the same high-water
-    /// mark — [`ShardMeta::rss_summary`] groups by this field.
+    /// `Some(id)` for a range executed inside an orchestrator run (every
+    /// sweep, `--shard i/m` processes included), where `id` identifies
+    /// the run; `None` in segments from builds whose `--shard` process
+    /// bypassed the orchestrator, each frame its own process. All
+    /// ranges of one run share one process, so honest RSS accounting
+    /// must count the run **once** (its max snapshot), not sum 256
+    /// copies of the same high-water mark — [`ShardMeta::rss_summary`]
+    /// groups by this field.
     pub orchestrator_run: Option<u64>,
     /// Pruning counters of the frontier build (levels `1..n − 1`) —
     /// identical across every shard of one partition; kept separate so

@@ -1,8 +1,8 @@
 //! Figures 2 and 3: the full engine-backed enumeration sweep (exhaustive
-//! topologies × α grid × exact equilibrium tests, scheduled by
-//! `bnf_engine::AnalysisEngine`) plus the aggregation passes. These are
-//! the numbers the figure binaries actually pay — the bench and the
-//! binaries share the same `SweepJob`.
+//! topologies × α grid × exact equilibrium tests, run on
+//! `bnf_engine::AnalysisEngine::sweep`) plus the aggregation passes.
+//! These are the numbers the figure binaries actually pay — the bench
+//! and the binaries share the same orchestrated windows sweep.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;

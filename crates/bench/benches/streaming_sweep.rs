@@ -1,10 +1,8 @@
-//! Streaming vs materializing enumeration sweeps (PR 2): the same
-//! `SweepJob` driven through `AnalysisEngine::run_connected` (full list
-//! up front) and `run_connected_streaming` (bounded-channel producer,
-//! canonical-construction pruned enumeration). Peak-RSS comparisons
-//! live in CHANGES.md — high-water marks need separate processes, so
-//! they are recorded from `fig2_avg_poa --streaming` runs rather than
-//! measured here.
+//! The one sweep path at n = 7: the windows-first sweep on the
+//! in-process orchestrator (one frontier build, 16 work-stolen parent
+//! ranges). Peak-RSS numbers live in CHANGES.md — high-water marks need
+//! separate processes, so they are recorded from `fig2_avg_poa` runs
+//! rather than measured here.
 //!
 //! The group also reports `candidates_per_survivor/8`, a
 //! counter-derived pruning-quality metric (not a timing): constructed
@@ -13,45 +11,16 @@
 //! a pruning regression shows up here before it shows up in noise-prone
 //! timings.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use bnf_empirics::{SweepConfig, SweepResult, WindowSweep};
-use bnf_stream::ShardSpec;
+use bnf_empirics::WindowSweep;
 
 fn bench_streaming_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("streaming_sweep");
     group.sample_size(10);
-    for n in [7usize, 8] {
-        group.bench_with_input(BenchmarkId::new("materializing", n), &n, |b, &n| {
-            let config = SweepConfig::standard(n);
-            b.iter(|| black_box(SweepResult::run(&config)))
-        });
-        group.bench_with_input(BenchmarkId::new("streaming", n), &n, |b, &n| {
-            let config = SweepConfig::standard(n);
-            b.iter(|| black_box(SweepResult::run_streaming(&config)))
-        });
-    }
-    // The multi-process driver's single-process cost model: all four
-    // shards of an n = 7 window sweep run back to back — what one CPU
-    // pays for a whole partition, including the 4× frontier rebuild
-    // (the sharding overhead the merge amortizes across processes).
-    group.bench_function("sharded_4x/7", |b| {
-        b.iter(|| {
-            for index in 0..4 {
-                black_box(WindowSweep::run_shard(
-                    7,
-                    bnf_empirics::default_threads(),
-                    ShardSpec::new(index, 4),
-                    None,
-                ));
-            }
-        })
-    });
-    // The in-process orchestrator on the same sweep: one frontier
-    // build, 16 work-stolen ranges — the single-command path that
-    // replaces the 4× shard fleet above (and its redundant frontier
-    // rebuilds).
+    // The sweep every figure binary runs: one frontier build, 16
+    // work-stolen ranges.
     group.bench_function("orchestrated_16x/7", |b| {
         b.iter(|| {
             black_box(WindowSweep::run_orchestrated(

@@ -5,9 +5,10 @@
 //! sweep (`bnf_empirics::efficiency`), so it rides the same `--atlas`
 //! cache as the figure binaries.
 //!
-//! Usage: efficiency_scan [--n 7] [--threads T] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: efficiency_scan [--n 7] [--threads T]
+//!        [--shards auto|R | --shard i/m] [--atlas PATH [--resume]]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 
 use bnf_empirics::MinimizerShape;
 use bnf_empirics::{

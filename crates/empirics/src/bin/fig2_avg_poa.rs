@@ -2,18 +2,20 @@
 //! in the BCG (pairwise stable) and the UCG (Nash) as a function of link
 //! cost, over all connected non-isomorphic topologies on n vertices.
 //!
-//! Usage: fig2_avg_poa [--n 7] [--threads T] [--csv] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: fig2_avg_poa [--n 7] [--threads T] [--csv]
+//!        [--shards auto|R | --shard i/m] [--atlas PATH [--resume]]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 //!
 //! (The paper used n = 10; see DESIGN.md §4 for the n-substitution.
-//! `--streaming` classifies graphs as the enumeration generates them —
-//! same output bit for bit, and the enumeration never materializes the
-//! graph list (its memory is one level's frontier; the per-topology
-//! records still scale with the count). Combine with the BNF_MAX_N env
-//! var for n ≥ 9. `--atlas` persists the α-independent window records
-//! so re-runs skip classification; `--grid` evaluates any α axis as a
-//! free post-pass over the same records.)
+//! The sweep classifies graphs as the enumeration generates them, on
+//! `--shards` work-stolen ranges of the parent frontier (default auto,
+//! 16 per thread); set the BNF_MAX_N env var for n ≥ 9. `--atlas`
+//! persists the α-independent window records so re-runs replay instead
+//! of classifying, `--resume` finishes a killed `--atlas` run, and
+//! `--shard i/m` writes one host's segment of a multi-host sweep for
+//! `shard_merge`; `--grid` evaluates any α axis as a free post-pass
+//! over the same records.)
 
 use bnf_empirics::{
     arg_flag, arg_value, fmt_stat, render_csv, render_table, run_sweep_cli, SweepConfig,

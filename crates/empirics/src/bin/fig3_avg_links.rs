@@ -1,9 +1,10 @@
 //! Reproduces Figure 3: average number of links in equilibrium networks
 //! of the BCG and UCG as a function of link cost.
 //!
-//! Usage: fig3_avg_links [--n 7] [--threads T] [--csv] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: fig3_avg_links [--n 7] [--threads T] [--csv]
+//!        [--shards auto|R | --shard i/m] [--atlas PATH [--resume]]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 
 use bnf_empirics::{
     arg_flag, arg_value, fmt_stat, render_csv, render_table, run_sweep_cli, SweepConfig,

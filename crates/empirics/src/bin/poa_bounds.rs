@@ -3,9 +3,10 @@
 //! and Moore graphs) and the empirical worst-case PoA against the
 //! min(sqrt(a), n/sqrt(a)) envelope.
 //!
-//! Usage: poa_bounds [--n 7] [--threads T] [--streaming]
-//!        [--shards auto|R] [--jobs N] [--atlas PATH]
+//! Usage: poa_bounds [--n 7] [--threads T]
+//!        [--shards auto|R | --shard i/m] [--atlas PATH [--resume]]
 //!        [--grid paper|linear:LO:HI:STEPS|log2:LO:HI:PER_OCT]
+//!        [--report-json PATH]
 //!
 //! The Prop 4 table reads the same shared window records as the figure
 //! sweeps (no inline window extraction of its own), so `--atlas` makes
@@ -17,6 +18,15 @@ use bnf_empirics::{
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
+    let mut config = SweepConfig::standard(n);
+    if let Some(t) = arg_value(&args, "--threads") {
+        config.threads = t.parse().expect("--threads wants a number");
+    }
+    // Sweep first, so flag errors surface before any output; the
+    // stdout tables still print in paper order. run_sweep_cli prints
+    // the sweep banner and peak RSS to stderr.
+    let sweep = run_sweep_cli(&config, &args);
     println!("Proposition 3 — Moore-bound family: stable windows and PoA growth\n");
     let rows: Vec<Vec<String>> = prop3_series()
         .into_iter()
@@ -50,13 +60,6 @@ fn main() {
         )
     );
 
-    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
-    let mut config = SweepConfig::standard(n);
-    if let Some(t) = arg_value(&args, "--threads") {
-        config.threads = t.parse().expect("--threads wants a number");
-    }
-    // run_sweep_cli prints the enumeration banner and peak RSS.
-    let sweep = run_sweep_cli(&config, &args);
     let rows: Vec<Vec<String>> = prop4_rows(&sweep)
         .into_iter()
         .map(|r| {

@@ -248,7 +248,7 @@ mod tests {
             threads: 2,
         };
         let reference = SweepResult::run_per_alpha(&config);
-        let windows = WindowSweep::run(config.n, config.threads, false, None);
+        let windows = WindowSweep::run(config.n, config.threads, None);
         let evaluated = evaluate(&windows, &config.alphas);
         assert_eq!(evaluated.records, reference.records);
         assert_eq!(evaluated.alphas, reference.alphas);

@@ -19,30 +19,27 @@
 //! enumeration, work-stealing execution and per-worker scratch reuse;
 //! the modules own only what to compute per item and how to aggregate.
 //!
-//! The sweep-driven binaries accept `--streaming` to classify
-//! topologies as the enumeration generates them: bit-identical output,
-//! no materialized graph list (the enumeration side holds one level's
-//! frontier — see `bnf-stream`; the classified records themselves still
-//! scale with the topology count). All exhaustive scans honour the
-//! `BNF_MAX_N` environment variable ([`max_sweep_n`]) so `n = 9/10`
-//! opt-ins need no recompile.
+//! Every sweep — the figure binaries, `poa_bounds`, `efficiency_scan`
+//! and the library entry points alike — runs one path, the
+//! **in-process orchestrator** ([`sweep::WindowSweep::run_plan`]): the
+//! parent frontier is built once, split into ≈ 16× threads
+//! work-stolen ranges (`--shards auto|R`), and completed ranges stream
+//! straight into the `--atlas` store with coverage declared when the
+//! partition closes — one command, one process, one VmHWM. A store that
+//! already covers the order is replayed instead. All exhaustive scans
+//! honour the `BNF_MAX_N` environment variable ([`max_sweep_n`]) so
+//! `n = 9/10` opt-ins need no recompile.
 //!
 //! Classification is **windows-first** ([`sweep::WindowSweep`]): each
 //! topology yields one α-independent window record, any α grid is a
 //! post-pass ([`grid`], `--grid paper|linear:..|log2:..`), and
 //! `--atlas <path>` persists the records in an append-only store
 //! ([`bnf_atlas::ClassificationAtlas`]) so re-runs — finer grids,
-//! `--streaming`, follow-up workloads — skip classification for keys
-//! already seen.
+//! follow-up workloads — skip classification for keys already seen.
 //!
-//! Paper-scale sweeps run the **in-process orchestrator**: `--shards
-//! auto` (optionally `--jobs N` for the worker count) builds the parent
-//! frontier once, splits it into ≈ 16× threads work-stolen ranges, and
-//! streams completed ranges straight into the `--atlas` store with
-//! coverage declared when the partition closes — one command, one
-//! process, one VmHWM. The multi-process escape hatch remains: `--shard
-//! i/m` (with `--atlas` naming the per-shard segment file) classifies
-//! one contiguous range and exits; the `shard_merge` binary in
+//! Multi-host sweeps run `--shard i/m` (with `--atlas` naming the
+//! per-host segment file) on each host: the same orchestrator over that
+//! host's ranges of a fixed partition. The `shard_merge` binary in
 //! `bnf-atlas` folds segments into one coverage-complete store that
 //! every binary replays warm. See `crates/atlas/README.md`.
 
@@ -57,7 +54,9 @@ pub mod grid;
 pub mod sweep;
 pub mod tables;
 
+use bnf_engine::{RangePlan, DEFAULT_OVERSPLIT};
 use bnf_games::Ratio;
+use bnf_stream::ShardSpec;
 
 pub use bounds::{prop3_series, prop4_rows, window_top_poa, LowerBoundRow, UpperBoundRow};
 // Re-exported so the executor keeps its pre-engine `empirics` path; the
@@ -65,8 +64,7 @@ pub use bounds::{prop3_series, prop4_rows, window_top_poa, LowerBoundRow, UpperB
 pub use bnf_engine::{default_threads, parallel_map};
 pub use cycles::{lemma6_rows, CycleRow};
 pub use efficiency::{
-    efficiency_rows, efficiency_rows_streaming, efficiency_scan_windows, EfficiencyRow,
-    EfficiencyScan, MinimizerShape,
+    efficiency_rows, efficiency_scan_windows, EfficiencyRow, EfficiencyScan, MinimizerShape,
 };
 pub use gallery::{extended_gallery, figure1_gallery, GalleryEntry};
 pub use grid::GridSpec;
@@ -101,18 +99,19 @@ fn max_sweep_n_from(raw: Option<String>) -> usize {
 // it too): each process of a multi-process sweep stamps its own VmHWM.
 pub use bnf_core::peak_rss_kb;
 
-/// Shared front-end of the sweep-driven binaries: honours
-/// `--streaming`, `--atlas <path>` and `--grid <spec>`, runs the
-/// windows-first classification, evaluates the α grid as a post-pass
-/// ([`grid::evaluate`]), and prints the shared diagnostics (path,
-/// topology count, classification wall time, atlas hit counts, peak
-/// RSS) to stderr — so each binary carries one call instead of a
-/// drifting copy of this block.
+/// Shared front-end of the sweep-driven binaries: validates the sweep
+/// flags up front ([`SweepArgs::parse_or_exit`]), runs the
+/// windows-first classification ([`SweepArgs::run`]), evaluates the α
+/// grid (`--grid <spec>`) as a post-pass ([`grid::evaluate`]), and
+/// prints the shared diagnostics (path, topology count, classification
+/// wall time, atlas hit counts, peak RSS) to stderr — so each binary
+/// carries one call instead of a drifting copy of this block.
 pub fn run_sweep_cli(config: &SweepConfig, args: &[String]) -> SweepResult {
+    let sweep = SweepArgs::parse_or_exit(config.n, args);
     // Parse the grid *before* the sweep: a typo in --grid must fail in
     // milliseconds, not after minutes of classification.
     let alphas = grid_from_args(args, || config.alphas.clone());
-    let windows = run_window_sweep_cli(config.n, config.threads, args);
+    let windows = sweep.run(config.threads);
     grid::evaluate(&windows, &alphas)
 }
 
@@ -134,13 +133,79 @@ pub fn grid_from_args(args: &[String], default: impl FnOnce() -> Vec<Ratio>) -> 
 }
 
 /// The windows-first half of [`run_sweep_cli`], also used directly by
-/// `efficiency_scan`: parses `--streaming` / `--atlas` / `--shards
-/// auto|R` / `--jobs N` / `--shard i/m` / `--report-json <path>`,
-/// classifies all connected topologies on `n` vertices into a
-/// [`WindowSweep`], appends fresh records back to the atlas, and
-/// reports the classification wall time in milliseconds (the number
-/// the CI cold/warm ≥ 10× gate reads) plus atlas hit counts and peak
-/// RSS to stderr.
+/// `efficiency_scan`: validates the sweep flags, then classifies all
+/// connected topologies on `n` vertices into a [`WindowSweep`]
+/// ([`SweepArgs::run`]).
+pub fn run_window_sweep_cli(n: usize, threads: usize, args: &[String]) -> WindowSweep {
+    SweepArgs::parse_or_exit(n, args).run(threads)
+}
+
+/// The most ranges a sweep may cut its frontier into (`--shards R`, or
+/// `16·m` for `--shard i/m`). No order has more than 261 080 parents,
+/// so a larger partition only adds empty ranges — each still committing
+/// a provenance frame.
+pub const MAX_RANGES: usize = 1 << 20;
+
+/// The flag synopsis the sweep binaries share, quoted by every
+/// [`UsageError`].
+const SWEEP_USAGE: &str = "[--n N] [--threads T] [--shards auto|R | --shard i/m] \
+                           [--atlas PATH [--resume]] [--grid SPEC] [--report-json PATH]";
+
+/// A sweep command line that cannot run: reported as one usage line
+/// with exit status 2 ([`UsageError::exit`]), never as a panic.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UsageError(pub String);
+
+impl std::fmt::Display for UsageError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for UsageError {}
+
+impl UsageError {
+    /// Prints `<tool>: <error>; usage: <tool> <flags>` as one stderr
+    /// line and exits with status 2.
+    pub fn exit(&self) -> ! {
+        let tool = tool_name();
+        eprintln!("{tool}: {self}; usage: {tool} {SWEEP_USAGE}");
+        std::process::exit(2)
+    }
+}
+
+/// The sweep flags every sweep binary shares, validated before any work
+/// runs (fields private: [`SweepArgs::parse`] is the only way to build
+/// one, so every instance passed its checks).
+///
+/// Every sweep runs on the in-process orchestrator
+/// ([`WindowSweep::run_plan`]): the parent frontier is built once and
+/// cut into `--shards R` ranges (default `auto`, ≈ 16 × `--threads`),
+/// which the worker threads steal. With `--atlas <path>` each completed
+/// range is appended to the store with its [`bnf_atlas::ShardMeta`] as
+/// it finishes, and coverage is declared when the partition closes; a
+/// store that already declares coverage for `n` is replayed instead of
+/// swept.
+///
+/// With `--resume` an interrupted run picks up where it was killed: the
+/// store is opened through torn-tail recovery
+/// ([`bnf_atlas::ClassificationAtlas::open_recovering`] — a frame cut
+/// mid-write by the crash is truncated and reported, not refused as
+/// corruption), the completed ranges are reconstructed from its
+/// [`bnf_atlas::ShardMeta`] frames, and only the missing ranges
+/// execute; the figure output then replays from the completed store —
+/// byte-identical to an uninterrupted run. Resume provenance (ranges
+/// recovered/redone, prior run count, dropped tail bytes) lands in the
+/// stderr report and the `--report-json` manifest, whose only
+/// gate-facing metric becomes `manifest/ranges_redone_on_resume/{n}`.
+///
+/// With `--shard i/m` (`--atlas` names this host's **segment** file)
+/// the run executes ranges `i·K .. (i+1)·K` of a `K·m` partition
+/// (`K = `[`bnf_engine::DEFAULT_OVERSPLIT`]) — exactly the parents
+/// `ShardSpec(i, m)` owns — commits them like any other ranges, and
+/// **exits the process**: a partial sweep has no meaningful figure
+/// output. Fold the segments with `shard_merge` (bnf-atlas) and re-run
+/// with `--atlas merged` to replay the complete catalogue.
 ///
 /// Every stderr diagnostic line is rendered from a
 /// [`bnf_obs::RunManifest`] ([`build_sweep_manifest`]); with
@@ -149,189 +214,213 @@ pub fn grid_from_args(args: &[String], default: impl FnOnce() -> Vec<Ratio>) -> 
 /// written as a versioned JSON document. A rate-limited heartbeat
 /// (`BNF_PROGRESS`, default every 10 s) reports emitted/expected with
 /// an ETA while the enumeration runs.
-///
-/// With `--shards auto` (or an explicit range count) the sweep runs the
-/// **in-process orchestrator** ([`WindowSweep::run_orchestrated`]): the
-/// parent frontier is built once, worker threads (`--jobs N`, default
-/// `--threads`) steal ranges dynamically, and each completed range is
-/// appended to the `--atlas` store with its [`bnf_atlas::ShardMeta`]
-/// as it finishes — coverage is declared when the partition closes, so
-/// one command replaces the whole `--shard`×m + `shard_merge` cycle.
-/// `--jobs N` alone implies `--shards auto`. (A store already holding
-/// complete coverage for `n`, or a trivial order `n < 2`, falls back to
-/// the standard warm/streaming path.)
-///
-/// With `--resume` (requires `--atlas`) an interrupted orchestrated run
-/// picks up where it was killed: the store is opened through
-/// torn-tail recovery ([`bnf_atlas::ClassificationAtlas::open_recovering`]
-/// — a frame cut mid-write by the crash is truncated and reported, not
-/// refused as corruption), the completed ranges are reconstructed from
-/// its [`bnf_atlas::ShardMeta`] frames, and only the missing ranges
-/// execute; coverage is declared when the partition closes across runs
-/// and the figure output replays from the completed store —
-/// byte-identical to an uninterrupted run. Resume provenance (ranges
-/// recovered/redone, prior run count, dropped tail bytes) lands in the
-/// stderr report and the `--report-json` manifest, whose only
-/// gate-facing metric becomes `manifest/ranges_redone_on_resume/{n}`.
-///
-/// With `--shard i/m` (requires `--atlas`, which names the **segment**
-/// file) the invocation classifies only shard `i` of the `m`-way
-/// partition of the parent frontier, persists the records plus a
-/// [`bnf_atlas::ShardMeta`] frame — range, emission count, wall-clock,
-/// this process's peak RSS, pruning-counter shares — into the segment,
-/// and **exits the process**: a partial sweep has no meaningful figure
-/// output. Fold the segments with `shard_merge` (bnf-atlas) and re-run
-/// with `--atlas merged` to replay the complete catalogue. This is the
-/// distributed / out-of-core escape hatch; on one machine prefer
-/// `--shards auto`.
-///
-/// # Panics
-///
-/// Panics (with a diagnostic) when the atlas cannot be opened or
-/// appended to, when `--shard` is malformed or lacks `--atlas`, when
-/// `--shards` / `--jobs` are malformed, or when `--shard` and
-/// `--shards` are combined — a CLI front-end, not a library error path.
-pub fn run_window_sweep_cli(n: usize, threads: usize, args: &[String]) -> WindowSweep {
-    let streaming = arg_flag(args, "--streaming");
-    let path = if streaming {
-        "streaming"
-    } else {
-        "materializing"
-    };
-    let jobs: Option<usize> = arg_value(args, "--jobs").map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--jobs wants a worker-thread count, got {v:?}"))
-    });
-    let threads = jobs.unwrap_or(threads).max(1);
-    let shards = arg_value(args, "--shards");
-    let shard = arg_value(args, "--shard")
-        .map(|s| bnf_stream::ShardSpec::parse(&s).unwrap_or_else(|e| panic!("bad --shard: {e}")));
-    let report_json = arg_value(args, "--report-json");
-    let resume = arg_flag(args, "--resume");
-    let mut dropped_tail = 0u64;
-    let mut atlas = arg_value(args, "--atlas").map(|p| {
-        if resume {
-            // A store left behind by a killed run may end mid-frame:
-            // recovery truncates the torn tail (reporting what it
-            // dropped) instead of refusing the whole store as Corrupt.
-            let recovered = bnf_atlas::ClassificationAtlas::open_recovering(&p)
-                .unwrap_or_else(|e| panic!("cannot recover atlas {p}: {e}"));
-            if recovered.report.was_torn() {
-                eprintln!("atlas {p}: {}", recovered.report);
-            }
-            dropped_tail = recovered.report.dropped_bytes;
-            recovered.atlas
-        } else {
-            bnf_atlas::ClassificationAtlas::open(&p)
-                .unwrap_or_else(|e| panic!("cannot open atlas {p}: {e}"))
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SweepArgs {
+    /// The order to sweep, checked against [`max_sweep_n`].
+    n: usize,
+    /// `--shards R`: ranges the frontier is cut into (`None`: auto).
+    ranges: Option<usize>,
+    /// `--shard i/m`: this host's share of an `m`-host partition.
+    shard: Option<ShardSpec>,
+    /// `--atlas <path>`: the persistent store (a segment with `--shard`).
+    atlas: Option<String>,
+    /// `--resume`: redo only the ranges the store lacks.
+    resume: bool,
+    /// `--report-json <path>`: where to write the run manifest.
+    report_json: Option<String>,
+}
+
+impl SweepArgs {
+    /// Parses and validates the sweep flags of an order-`n` sweep.
+    ///
+    /// # Errors
+    ///
+    /// A [`UsageError`] when `n` exceeds [`max_sweep_n`] (the
+    /// `BNF_MAX_N` opt-in), when `--shard` is combined with `--shards`,
+    /// when `--resume` or `--shard` lacks `--atlas`, or when a
+    /// `--shards` / `--shard` value is malformed or would cut the
+    /// frontier into more than [`MAX_RANGES`] ranges.
+    pub fn parse(n: usize, args: &[String]) -> Result<SweepArgs, UsageError> {
+        let usage = |msg: String| Err(UsageError(msg));
+        let cap = max_sweep_n();
+        if n > cap {
+            return usage(format!(
+                "--n {n}: sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
+            ));
         }
-    });
-    assert!(
-        !resume || atlas.is_some(),
-        "--resume reconstructs completed ranges from the interrupted run's store: \
-         pass --atlas <path>"
-    );
-    // Scope the process-wide recorder to this run, then let the
-    // enumeration layers heartbeat progress against the known connected
-    // count for this order.
-    bnf_obs::Recorder::global().take();
-    bnf_obs::heartbeat::install(
-        &format!("n={n} sweep"),
-        bnf_obs::heartbeat::expected_connected(n),
-    );
-    if let Some(shard) = shard {
-        assert!(
-            shards.is_none(),
-            "--shard (one process of a multi-process partition) and --shards (in-process \
-             orchestrator) are mutually exclusive"
-        );
-        let atlas = atlas
-            .as_mut()
-            .expect("--shard writes a segment store: pass --atlas <segment path>");
-        write_shard_segment(n, threads, shard, atlas, report_json);
-    }
-    if let Some(atlas) = &atlas {
-        // Merged-store provenance: a store assembled by shard_merge or
-        // the orchestrator carries per-shard metadata; the RSS summary
-        // counts each *process* once (in-process ranges share one), so
-        // multi-process truth is neither understated nor double-counted.
-        if let Some((max, sum)) = bnf_atlas::ShardMeta::rss_summary(atlas.shard_metas()) {
-            eprintln!(
-                "atlas provenance: {} shard segments merged across {} process(es); \
-                 peak RSS: max {:.1} MiB, sum {:.1} MiB",
-                atlas.shard_metas().len(),
-                bnf_atlas::ShardMeta::process_count(atlas.shard_metas()),
-                max as f64 / 1024.0,
-                sum as f64 / 1024.0,
+        let shards = arg_value(args, "--shards");
+        let ranges = match shards.as_deref() {
+            None | Some("auto") => None,
+            Some(v) => match v.parse() {
+                Ok(r) => Some(r),
+                Err(_) => {
+                    return usage(format!("--shards wants `auto` or a range count, got {v:?}"))
+                }
+            },
+        };
+        let shard = match arg_value(args, "--shard").map(|s| ShardSpec::parse(&s)) {
+            None => None,
+            Some(Ok(spec)) => Some(spec),
+            Some(Err(e)) => return usage(format!("bad --shard: {e}")),
+        };
+        let partition = match shard {
+            Some(s) => s.count.checked_mul(DEFAULT_OVERSPLIT),
+            None => Some(ranges.unwrap_or(0)),
+        };
+        if partition.is_none_or(|r| r > MAX_RANGES) {
+            return usage(format!(
+                "a sweep cuts its frontier into at most {MAX_RANGES} ranges (--shards R, or \
+                 {DEFAULT_OVERSPLIT} per --shard host)"
+            ));
+        }
+        let atlas = arg_value(args, "--atlas");
+        let resume = arg_flag(args, "--resume");
+        if shard.is_some() && shards.is_some() {
+            return usage(
+                "--shard (one host's share of a multi-host partition) and --shards (the range \
+                 count of a whole sweep) are mutually exclusive"
+                    .into(),
             );
         }
-    }
-    // `--shards`/`--jobs`/`--resume` opt into the orchestrated path
-    // wherever it applies: a frontier exists (n ≥ 2) and the store
-    // cannot already replay the order warm. (`--resume` against a store
-    // whose coverage already closed falls through to the warm path —
-    // there is nothing left to redo.)
-    if (shards.is_some() || jobs.is_some() || resume)
-        && n >= 2
-        && atlas.as_ref().is_none_or(|a| a.coverage(n).is_none())
-    {
-        let ranges =
-            match shards.as_deref() {
-                None | Some("auto") => None,
-                Some(v) => Some(v.parse().unwrap_or_else(|_| {
-                    panic!("--shards wants `auto` or a range count, got {v:?}")
-                })),
-            };
-        return run_orchestrated_cli(
-            n,
-            threads,
-            ranges,
-            atlas,
-            report_json,
-            resume.then_some(dropped_tail),
-        );
-    }
-    eprintln!(
-        "classifying all connected topologies on n={n} vertices ({path} enumeration{})...",
-        match &atlas {
-            Some(a) => format!(", atlas-backed: {} stored records", a.len()),
-            None => String::new(),
+        if resume && atlas.is_none() {
+            return usage(
+                "--resume reconstructs completed ranges from the interrupted run's store: pass \
+                 --atlas <path>"
+                    .into(),
+            );
         }
-    );
-    let started = std::time::Instant::now();
-    let (windows, stats) = WindowSweep::run_with_stats(n, threads, streaming, atlas.as_ref());
-    let elapsed_ms = started.elapsed().as_millis() as u64;
-    bnf_obs::heartbeat::finish();
-    // The report is rendered *from the manifest* (bnf-obs), so the
-    // stderr lines and the --report-json numbers cannot disagree.
-    let mut manifest = build_sweep_manifest(n, path, elapsed_ms, &windows, stats.as_ref());
-    eprintln!("{}", bnf_obs::render_classified_line(&manifest));
-    if let Some(line) = bnf_obs::render_enumeration_line(&manifest) {
-        eprintln!("{line}");
+        if shard.is_some() && atlas.is_none() {
+            return usage("--shard writes a segment store: pass --atlas <segment path>".into());
+        }
+        Ok(SweepArgs {
+            n,
+            ranges,
+            shard,
+            atlas,
+            resume,
+            report_json: arg_value(args, "--report-json"),
+        })
     }
-    if let Some(atlas) = atlas.as_mut() {
-        let appended = atlas
-            .append_records(&windows.records)
-            .unwrap_or_else(|e| panic!("atlas append failed: {e}"));
-        // This was a full sweep of order n: declare coverage so the
-        // next run replays the catalogue without enumerating at all.
-        atlas
-            .mark_complete(n, windows.records.len())
-            .unwrap_or_else(|e| panic!("atlas coverage update failed: {e}"));
-        manifest.set_counter("atlas_hits", (windows.records.len() - appended) as u64);
-        manifest.set_counter("atlas_appended", appended as u64);
-        push_atlas_density_metric(&mut manifest, atlas, n);
-        eprintln!(
-            "atlas {}: {} hits, {appended} new records appended ({} stored)",
-            atlas.path().display(),
-            windows.records.len() - appended,
-            atlas.len()
+
+    /// [`SweepArgs::parse`], exiting with status 2 and a one-line usage
+    /// message on error.
+    pub fn parse_or_exit(n: usize, args: &[String]) -> SweepArgs {
+        Self::parse(n, args).unwrap_or_else(|e| e.exit())
+    }
+
+    /// Runs the sweep these flags describe on `threads` workers — a warm
+    /// replay when the store already covers the order, the orchestrator
+    /// otherwise — and reports it to stderr (and the `--report-json`
+    /// manifest). A `--shard` run exits the process once its segment is
+    /// written.
+    ///
+    /// # Panics
+    ///
+    /// Panics (with a diagnostic) when the atlas cannot be opened,
+    /// recovered or appended to — a CLI front-end, not a library error
+    /// path.
+    pub fn run(self, threads: usize) -> WindowSweep {
+        let n = self.n;
+        let threads = threads.max(1);
+        let mut dropped_tail = 0u64;
+        let atlas = self.atlas.as_deref().map(|p| {
+            if self.resume {
+                // A store left behind by a killed run may end mid-frame:
+                // recovery truncates the torn tail (reporting what it
+                // dropped) instead of refusing the whole store as Corrupt.
+                let recovered = bnf_atlas::ClassificationAtlas::open_recovering(p)
+                    .unwrap_or_else(|e| panic!("cannot recover atlas {p}: {e}"));
+                if recovered.report.was_torn() {
+                    eprintln!("atlas {p}: {}", recovered.report);
+                }
+                dropped_tail = recovered.report.dropped_bytes;
+                recovered.atlas
+            } else {
+                bnf_atlas::ClassificationAtlas::open(p)
+                    .unwrap_or_else(|e| panic!("cannot open atlas {p}: {e}"))
+            }
+        });
+        // Scope the process-wide recorder to this run, then let the
+        // enumeration layers heartbeat progress against the known
+        // connected count for this order.
+        bnf_obs::Recorder::global().take();
+        bnf_obs::heartbeat::install(
+            &format!("n={n} sweep"),
+            bnf_obs::heartbeat::expected_connected(n),
         );
+        if let Some(atlas) = &atlas {
+            // Merged-store provenance: a store assembled by shard_merge
+            // or the orchestrator carries per-range metadata; the RSS
+            // summary counts each *process* once (in-process ranges share
+            // one), so multi-process truth is neither understated nor
+            // double-counted.
+            if let Some((max, sum)) = bnf_atlas::ShardMeta::rss_summary(atlas.shard_metas()) {
+                eprintln!(
+                    "atlas provenance: {} shard segments merged across {} process(es); \
+                     peak RSS: max {:.1} MiB, sum {:.1} MiB",
+                    atlas.shard_metas().len(),
+                    bnf_atlas::ShardMeta::process_count(atlas.shard_metas()),
+                    max as f64 / 1024.0,
+                    sum as f64 / 1024.0,
+                );
+            }
+            // A store that already covers the order replays it warm —
+            // also on `--resume`, where nothing is left to redo. A shard
+            // always runs: its segment is one host's share.
+            if self.shard.is_none() && atlas.coverage(n).is_some() {
+                let started = std::time::Instant::now();
+                if let Some(records) = atlas.complete_sweep(n) {
+                    let elapsed_ms = started.elapsed().as_millis() as u64;
+                    let windows = WindowSweep { n, records };
+                    return report_replay(windows, elapsed_ms, atlas, self.report_json);
+                }
+            }
+        }
+        run_orchestrated_cli(threads, self, atlas, dropped_tail)
     }
-    manifest.peak_rss_kb = peak_rss_kb();
-    eprintln!("{}", bnf_obs::format_peak_rss(manifest.peak_rss_kb, path));
+}
+
+/// The warm-replay report: the catalogue came from a coverage-complete
+/// store, so nothing was enumerated or appended.
+fn report_replay(
+    windows: WindowSweep,
+    elapsed_ms: u64,
+    atlas: &bnf_atlas::ClassificationAtlas,
+    report_json: Option<String>,
+) -> WindowSweep {
+    let n = windows.n;
+    bnf_obs::heartbeat::finish();
+    let mut manifest = build_sweep_manifest(n, "replay", elapsed_ms, &windows, None);
+    eprintln!("{}", bnf_obs::render_classified_line(&manifest));
+    manifest.set_counter("atlas_hits", windows.records.len() as u64);
+    manifest.set_counter("atlas_appended", 0);
+    push_atlas_density_metric(&mut manifest, atlas, n);
+    eprintln!(
+        "atlas {}: {} hits, 0 new records appended ({} stored)",
+        atlas.path().display(),
+        windows.records.len(),
+        atlas.len()
+    );
+    eprintln!(
+        "{}",
+        bnf_obs::format_peak_rss(manifest.peak_rss_kb, "replay")
+    );
     finish_manifest(manifest, report_json);
     windows
+}
+
+/// The invoking binary's name (`fig2_avg_poa`, …), for manifests and
+/// usage lines.
+fn tool_name() -> String {
+    std::env::args()
+        .next()
+        .as_deref()
+        .map(|arg0| {
+            std::path::Path::new(arg0)
+                .file_stem()
+                .map_or_else(|| arg0.to_owned(), |s| s.to_string_lossy().into_owned())
+        })
+        .unwrap_or_else(|| "sweep".to_owned())
 }
 
 /// The run-manifest skeleton every sweep CLI path shares: identity
@@ -351,16 +440,7 @@ pub fn build_sweep_manifest(
     windows: &WindowSweep,
     stats: Option<&bnf_stream::StreamStats>,
 ) -> bnf_obs::RunManifest {
-    let tool = std::env::args()
-        .next()
-        .as_deref()
-        .map(|arg0| {
-            std::path::Path::new(arg0)
-                .file_stem()
-                .map_or_else(|| arg0.to_owned(), |s| s.to_string_lossy().into_owned())
-        })
-        .unwrap_or_else(|| "sweep".to_owned());
-    let mut manifest = bnf_obs::RunManifest::new(&tool, n as u32, path);
+    let mut manifest = bnf_obs::RunManifest::new(&tool_name(), n as u32, path);
     manifest.emitted = windows.records.len() as u64;
     manifest.elapsed_ms = elapsed_ms;
     manifest.peak_rss_kb = peak_rss_kb();
@@ -412,26 +492,21 @@ fn finish_manifest(mut manifest: bnf_obs::RunManifest, report_json: Option<Strin
     }
 }
 
-/// The `--shards auto|R` / `--resume` body: one in-process orchestrated
-/// sweep — frontier built once, ranges work-stolen across `threads`
-/// workers, each completed range streamed into the `--atlas` store
-/// (when given) with its [`bnf_atlas::ShardMeta`] provenance, coverage
-/// declared when the partition closes.
-///
-/// `resume_dropped_tail` is `Some(bytes)` when `--resume` was passed
-/// (`bytes` = torn tail dropped by recovery, 0 on a clean store): the
-/// partition of the interrupted run is reconstructed from the store's
-/// shard metadata ([`resume_plan_from_metas`]) and only its missing
-/// ranges execute; once coverage closes across runs, the figure output
-/// is replayed from the store, never taken from the partial merge.
+/// The orchestrated body of [`SweepArgs::run`]: picks the
+/// [`RangePlan`] (every range, the shard's own ranges, minus whatever a
+/// resumed store already completed), runs it with each completed range
+/// streamed into the `--atlas` store together with its
+/// [`bnf_atlas::ShardMeta`] provenance, and declares coverage when the
+/// partition closes. A resumed run replays its figure output from the
+/// completed store, never from the partial merge; a `--shard` run exits
+/// once its segment is written.
 fn run_orchestrated_cli(
-    n: usize,
     threads: usize,
-    ranges: Option<usize>,
+    args: SweepArgs,
     mut atlas: Option<bnf_atlas::ClassificationAtlas>,
-    report_json: Option<String>,
-    resume_dropped_tail: Option<u64>,
+    dropped_tail: u64,
 ) -> WindowSweep {
+    let n = args.n;
     // Two handles on the same store: the orchestrator's workers read
     // classifications through a second read-only handle while the
     // writer callback appends through the original — `open` reads the
@@ -443,34 +518,60 @@ fn run_orchestrated_cli(
         ),
         _ => None,
     };
-    let plan = match (resume_dropped_tail, &atlas) {
-        (Some(_), Some(a)) => resume_plan_from_metas(n, a.shard_metas()),
+    let shard_plan = args.shard.map(RangePlan::shard);
+    let prior = match (args.resume, &atlas) {
+        (true, Some(a)) => prior_run(n, a.shard_metas(), shard_plan.as_ref().map(|p| p.ranges)),
         _ => None,
     };
-    let run_id = orchestrator_run_id();
-    match &plan {
-        Some((plan, prior_runs)) => eprintln!(
-            "resuming the n={n} sweep: {}/{} range(s) durably complete from {prior_runs} \
-             prior run(s); {threads} worker thread(s) redoing the remaining {}...",
-            plan.completed.len(),
-            plan.ranges,
-            plan.ranges - plan.completed.len(),
+    let base = match (shard_plan, &prior) {
+        (Some(plan), _) => plan,
+        (None, Some(prior)) => RangePlan::all(prior.ranges),
+        (None, None) => RangePlan::all(
+            args.ranges
+                .unwrap_or_else(|| bnf_engine::auto_range_count(threads)),
         ),
-        None => eprintln!(
+    };
+    let plan = match &prior {
+        Some(prior) => base
+            .clone()
+            .without_completed(&prior.completed, prior.frontier_len),
+        None => base.clone(),
+    };
+    let recovered = base.run.len() - plan.run.len();
+    match (&args.shard, &prior) {
+        (Some(shard), _) => eprintln!(
+            "classifying shard {}/{} of the n={n} sweep (ranges {}..{} of {}) into segment {} \
+             on {threads} worker thread(s)...",
+            shard.index,
+            shard.count,
+            base.run[0],
+            base.run[base.run.len() - 1] + 1,
+            base.ranges,
+            args.atlas.as_deref().unwrap_or_default(),
+        ),
+        (None, Some(prior)) => eprintln!(
+            "resuming the n={n} sweep: {recovered}/{} range(s) durably complete from {} \
+             prior run(s); {threads} worker thread(s) redoing the remaining {}...",
+            base.ranges,
+            prior.runs,
+            plan.run.len(),
+        ),
+        (None, None) => eprintln!(
             "orchestrating the n={n} sweep in-process: {threads} worker thread(s) stealing \
              {} frontier ranges{}...",
-            ranges.unwrap_or_else(|| bnf_engine::auto_range_count(threads)),
+            plan.ranges,
             match &lookup {
                 Some(a) => format!(", atlas-backed: {} stored records", a.len()),
                 None => String::new(),
             }
         ),
     }
+    let run_id = orchestrator_run_id();
     let started = std::time::Instant::now();
     let mut appended_total = 0usize;
     let mut hits_total = 0usize;
     let mut provenance: Vec<bnf_obs::ShardProvenance> = Vec::new();
-    let mut on_segment = |seg: bnf_engine::RangeSegment<'_, bnf_core::WindowRecord>| {
+    let on_segment = |seg: bnf_engine::RangeSegment<'_, bnf_core::WindowRecord>| {
         provenance.push(bnf_obs::ShardProvenance {
             order: n as u32,
             index: seg.index as u32,
@@ -512,16 +613,8 @@ fn run_orchestrated_cli(
             bnf_faults::trip_with_file("range_commit", atlas.path());
         }
     };
-    let (mut windows, stats) = match &plan {
-        Some((plan, _)) => WindowSweep::run_orchestrated_resumed(
-            n,
-            threads,
-            plan,
-            lookup.as_ref(),
-            &mut on_segment,
-        ),
-        None => WindowSweep::run_orchestrated(n, threads, ranges, lookup.as_ref(), &mut on_segment),
-    };
+    let (mut windows, stats) =
+        WindowSweep::run_plan(n, threads, &plan, lookup.as_ref(), on_segment);
     let elapsed_ms = started.elapsed().as_millis() as u64;
     bnf_obs::heartbeat::finish();
     let mut manifest =
@@ -539,10 +632,9 @@ fn run_orchestrated_cli(
             heaviest as f64 / manifest.emitted as f64,
         );
     }
-    if let Some(dropped_tail) = resume_dropped_tail {
-        let recovered = plan.as_ref().map_or(0, |(p, _)| p.completed.len());
-        let prior_runs = plan.as_ref().map_or(0, |(_, runs)| *runs);
-        let redone = (stats.ranges - recovered) as u64;
+    if args.resume {
+        let prior_runs = prior.as_ref().map_or(0, |p| p.runs);
+        let redone = plan.run.len() as u64;
         manifest.set_counter("resume_recovered_ranges", recovered as u64);
         manifest.set_counter("resume_redone_ranges", redone);
         manifest.set_counter("resume_prior_runs", prior_runs);
@@ -560,7 +652,7 @@ fn run_orchestrated_cli(
         eprintln!(
             "resumed sweep: recovered {recovered}/{} completed range(s) from {prior_runs} \
              prior run(s), redoing {redone}; torn tail: {dropped_tail} byte(s) dropped",
-            stats.ranges,
+            base.run.len(),
         );
     }
     manifest.shards = provenance;
@@ -569,24 +661,27 @@ fn run_orchestrated_cli(
         eprintln!("{line}");
     }
     if let Some(atlas) = atlas.as_mut() {
-        let coverage = atlas
-            .declare_sharded_coverage()
-            .unwrap_or_else(|e| panic!("atlas coverage declaration failed: {e}"));
-        for (order, outcome) in coverage {
-            if order != n {
-                continue;
-            }
-            match outcome {
-                bnf_atlas::ShardCoverage::Declared(count)
-                | bnf_atlas::ShardCoverage::AlreadyDeclared(count) => eprintln!(
-                    "orchestrated sweep: coverage complete for order {order} ({count} topologies)"
-                ),
-                other => eprintln!(
-                    "orchestrated sweep: coverage NOT declared for order {order} — {other:?}"
-                ),
+        if args.shard.is_none() {
+            let coverage = atlas
+                .declare_sharded_coverage()
+                .unwrap_or_else(|e| panic!("atlas coverage declaration failed: {e}"));
+            for (order, outcome) in coverage {
+                if order != n {
+                    continue;
+                }
+                match outcome {
+                    bnf_atlas::ShardCoverage::Declared(count)
+                    | bnf_atlas::ShardCoverage::AlreadyDeclared(count) => eprintln!(
+                        "orchestrated sweep: coverage complete for order {order} \
+                         ({count} topologies)"
+                    ),
+                    other => eprintln!(
+                        "orchestrated sweep: coverage NOT declared for order {order} — {other:?}"
+                    ),
+                }
             }
         }
-        if plan.is_some() {
+        if prior.is_some() && args.shard.is_none() {
             // The resumed run's merge holds only the redone ranges —
             // figure output always replays from the now-complete store,
             // byte-identical to what an uninterrupted run returns.
@@ -596,7 +691,7 @@ fn run_orchestrated_cli(
         }
         manifest.set_counter("atlas_hits", hits_total as u64);
         manifest.set_counter("atlas_appended", appended_total as u64);
-        if resume_dropped_tail.is_none() {
+        if !args.resume {
             // A resumed manifest keeps exactly one gate-facing metric
             // (see above), so the density metric is cold-run only.
             push_atlas_density_metric(&mut manifest, atlas, n);
@@ -608,13 +703,22 @@ fn run_orchestrated_cli(
         );
     }
     // One process, one VmHWM: the honest memory number, versus the
-    // max + sum ambiguity of a 16-process shard fleet.
+    // max + sum ambiguity of a multi-process shard fleet.
     manifest.peak_rss_kb = peak_rss_kb();
     eprintln!(
         "{}",
         bnf_obs::format_peak_rss(manifest.peak_rss_kb, "orchestrated")
     );
-    finish_manifest(manifest, report_json);
+    finish_manifest(manifest, args.report_json);
+    if args.shard.is_some() {
+        // A shard is one host's share of the partition: it has no
+        // figure output of its own.
+        eprintln!(
+            "segment written; fold segments with `shard_merge --out merged.bnfatlas <segments>` \
+             and re-run with --atlas merged.bnfatlas"
+        );
+        std::process::exit(0);
+    }
     windows
 }
 
@@ -631,30 +735,42 @@ fn orchestrator_run_id() -> u64 {
     (u64::from(std::process::id()) << 32) ^ nanos
 }
 
-/// Reconstructs an interrupted orchestrated run's partition from the
-/// [`bnf_atlas::ShardMeta`] frames its store already holds: metadata
-/// for order `n` is grouped by `(shard_count, frontier_len)` — the pair
-/// that fully determines the range boundaries — and the group with the
-/// most completed ranges wins (a store holds one live partition per
-/// order in practice; a stray experiment's stale metas must not hijack
-/// the resume). Returns the [`bnf_engine::ResumePlan`] plus the number
-/// of distinct prior runs that contributed, or `None` when the store
-/// has no usable metadata (cold start: resume degenerates to a full
-/// orchestrated run).
+/// The partition an interrupted run left in its store.
+struct PriorRun {
+    /// Ranges in the stored partition (the metas' `shard_count`).
+    ranges: usize,
+    /// Indices of the ranges the store holds committed.
+    completed: Vec<usize>,
+    /// Parent-frontier length the stored partition was cut from.
+    frontier_len: u64,
+    /// Distinct prior runs that committed those ranges.
+    runs: u64,
+}
+
+/// Reconstructs an interrupted run's partition from the
+/// [`bnf_atlas::ShardMeta`] frames its store already holds: metadata for
+/// order `n` is grouped by `(shard_count, frontier_len)` — the pair that
+/// fully determines the range boundaries — and the group with the most
+/// completed ranges wins (a store holds one live partition per order in
+/// practice; a stray experiment's stale metas must not hijack the
+/// resume). `ranges` restricts the choice to one partition size (a
+/// resumed `--shard` resumes its own `K·m` partition). `None` when the
+/// store has no usable metadata (cold start: resume degenerates to a
+/// full run).
 ///
-/// The plan's `frontier_len` is re-asserted against the rebuilt
-/// frontier inside the engine before any range executes, so metadata
-/// from an incompatible build fails loudly rather than skipping the
-/// wrong parents.
-fn resume_plan_from_metas(
-    n: usize,
-    metas: &[bnf_atlas::ShardMeta],
-) -> Option<(bnf_engine::ResumePlan, u64)> {
+/// The `frontier_len` is re-asserted against the rebuilt frontier inside
+/// the engine before any range executes, so metadata from an
+/// incompatible build fails loudly rather than skipping the wrong
+/// parents.
+fn prior_run(n: usize, metas: &[bnf_atlas::ShardMeta], ranges: Option<usize>) -> Option<PriorRun> {
     use std::collections::{BTreeMap, BTreeSet};
     type Group = (BTreeSet<usize>, BTreeSet<Option<u64>>);
     let mut groups: BTreeMap<(u32, u64), Group> = BTreeMap::new();
     for meta in metas {
-        if usize::from(meta.order) != n || meta.shard_index >= meta.shard_count {
+        if usize::from(meta.order) != n
+            || meta.shard_index >= meta.shard_count
+            || ranges.is_some_and(|r| r != meta.shard_count as usize)
+        {
             continue;
         }
         let (completed, runs) = groups
@@ -666,116 +782,12 @@ fn resume_plan_from_metas(
     let ((shard_count, frontier_len), (completed, runs)) = groups
         .into_iter()
         .max_by_key(|(key, (completed, _))| (completed.len(), key.0))?;
-    Some((
-        bnf_engine::ResumePlan {
-            ranges: shard_count as usize,
-            completed: completed.into_iter().collect(),
-            frontier_len,
-        },
-        runs.len() as u64,
-    ))
-}
-
-/// The `--shard i/m` body: classifies one frontier shard, persists the
-/// records and metadata into the segment atlas, reports, and exits the
-/// process (0 on success) — partial sweeps never reach the figure
-/// renderers.
-fn write_shard_segment(
-    n: usize,
-    threads: usize,
-    shard: bnf_stream::ShardSpec,
-    atlas: &mut bnf_atlas::ClassificationAtlas,
-    report_json: Option<String>,
-) -> ! {
-    eprintln!(
-        "classifying shard {}/{} of the n={n} parent frontier into segment {} \
-         ({} stored records)...",
-        shard.index,
-        shard.count,
-        atlas.path().display(),
-        atlas.len(),
-    );
-    let started = std::time::Instant::now();
-    let (windows, run) = WindowSweep::run_shard(n, threads, shard, Some(&*atlas));
-    let elapsed_ms = started.elapsed().as_millis() as u64;
-    let appended = atlas
-        .append_records(&windows.records)
-        .unwrap_or_else(|e| panic!("segment append failed: {e}"));
-    let meta = bnf_atlas::ShardMeta {
-        order: n as u16,
-        shard_index: shard.index as u32,
-        shard_count: shard.count as u32,
-        frontier_len: run.frontier_len,
-        parent_lo: run.parent_lo,
-        parent_hi: run.parent_hi,
-        emitted: run.stats.emitted(),
-        elapsed_ms,
-        peak_rss_kb: peak_rss_kb(),
-        orchestrator_run: None,
-        frontier_prune: run.frontier_prune(),
-        final_prune: run.final_prune,
-    };
-    atlas
-        .append_shard_meta(&meta)
-        .unwrap_or_else(|e| panic!("segment metadata append failed: {e}"));
-    bnf_obs::heartbeat::finish();
-    eprintln!(
-        "shard {}/{}: parents {}..{} of {}, {} records in {elapsed_ms} ms \
-         ({appended} newly classified, {} atlas hits)",
-        shard.index,
-        shard.count,
-        run.parent_lo,
-        run.parent_hi,
-        run.frontier_len,
-        windows.records.len(),
-        windows.records.len() - appended,
-    );
-    // The shard path has no whole-run StreamStats — its counters cover
-    // the final level only — so the manifest is seeded by hand and the
-    // shard-flavoured enumeration line rendered from it.
-    let mut manifest = build_sweep_manifest(n, "shard", elapsed_ms, &windows, None);
-    for (name, value) in run.final_prune.named() {
-        manifest.set_counter(name, value);
-    }
-    manifest.set_counter("atlas_hits", (windows.records.len() - appended) as u64);
-    manifest.set_counter("atlas_appended", appended as u64);
-    manifest.push_metric(
-        &format!("manifest/candidates_per_survivor/{n}"),
-        run.final_prune.candidates_per_survivor(),
-    );
-    manifest.shards = vec![bnf_obs::ShardProvenance {
-        order: n as u32,
-        index: shard.index as u32,
-        count: shard.count as u32,
-        parent_lo: run.parent_lo,
-        parent_hi: run.parent_hi,
-        emitted: run.stats.emitted(),
-        elapsed_ms,
-        peak_rss_kb: meta.peak_rss_kb,
-        orchestrator_run: None,
-    }];
-    if let Some(line) = bnf_obs::render_enumeration_line(&manifest) {
-        eprintln!("{line}");
-    }
-    manifest.peak_rss_kb = peak_rss_kb();
-    eprintln!(
-        "{}",
-        bnf_obs::format_peak_rss(manifest.peak_rss_kb, "shard")
-    );
-    finish_manifest(manifest, report_json);
-    eprintln!(
-        "segment written; fold segments with `shard_merge --out merged.bnfatlas <segments>` \
-         and re-run with --atlas merged.bnfatlas"
-    );
-    std::process::exit(0);
-}
-
-/// Prints this process's peak RSS to stderr; `path` labels which
-/// enumeration path produced it. Where the value is unmeasurable
-/// (non-Linux: [`peak_rss_kb`] is `None`) the line says `unavailable`
-/// explicitly — silently omitting it made those reports look truncated.
-pub fn report_peak_rss(path: &str) {
-    eprintln!("{}", bnf_obs::format_peak_rss(peak_rss_kb(), path));
+    Some(PriorRun {
+        ranges: shard_count as usize,
+        completed: completed.into_iter().collect(),
+        frontier_len,
+        runs: runs.len() as u64,
+    })
 }
 
 /// Parses `--name value` from a raw argument list (first occurrence).

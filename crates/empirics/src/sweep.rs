@@ -25,9 +25,10 @@ use bnf_core::{
     WindowRecord,
 };
 use bnf_engine::{
-    default_threads, Analysis, AnalysisEngine, OrchestratorStats, RangeSegment, WorkerScratch,
+    auto_range_count, default_threads, Analysis, AnalysisEngine, OrchestratorStats, RangePlan,
+    RangeSegment, WorkerScratch,
 };
-use bnf_enumerate::connected_graphs;
+use bnf_enumerate::{connected_graphs, connected_graphs_unpruned};
 use bnf_games::{poa_of_summary, CostSummary, GameKind, Ratio};
 use bnf_graph::Graph;
 
@@ -125,10 +126,11 @@ pub struct EquilibriumStats {
 /// This is the workhorse [`Analysis`] of the workspace since PR 3: the
 /// figure binaries, the efficiency scan, the Proposition 4 table and
 /// the conjecture checks all fold its records (through
-/// [`crate::grid::evaluate`] for α-grid questions). It must run on the
-/// keyed engine paths ([`AnalysisEngine::run_connected_keyed`] /
-/// [`AnalysisEngine::run_connected_streaming_keyed`]) so each record
-/// carries its canonical graph6 key.
+/// [`crate::grid::evaluate`] for α-grid questions). The sweep
+/// ([`AnalysisEngine::sweep`]) calls it keyed, so each record carries
+/// its canonical graph6 key; the unkeyed [`Analysis::classify`]
+/// canonicalizes itself, so explicit lists through
+/// [`AnalysisEngine::run_on`] yield the same records.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WindowJob<'a> {
     /// Warm store to consult before classifying; records found here are
@@ -168,110 +170,40 @@ pub struct WindowSweep {
 }
 
 impl WindowSweep {
-    /// Enumerates and classifies all connected topologies on `n`
-    /// vertices into window records; `streaming` selects the
-    /// bounded-channel enumeration (identical records, no materialized
-    /// graph list), `atlas` skips classification for already-stored
-    /// keys. When the atlas declares *complete* coverage for `n`
+    /// The α-independent catalogue of all connected topologies on `n`
+    /// vertices. When `atlas` declares *complete* coverage for `n`
     /// ([`ClassificationAtlas::mark_complete`] after a prior full
     /// sweep), the whole catalogue is replayed from the store in engine
-    /// order and the enumerator never runs — the warm-run fast path.
-    /// The caller owns appending fresh records (and the coverage
-    /// marker) back to the atlas.
+    /// order and nothing is enumerated — the warm-run fast path.
+    /// Otherwise the orchestrator runs ([`WindowSweep::run_orchestrated`]
+    /// with the automatic range count), skipping classification for
+    /// keys the store already holds. The caller owns appending fresh
+    /// records (and the coverage marker) back to the atlas.
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`] (default 8; opt in
-    /// via `BNF_MAX_N`).
-    pub fn run(
-        n: usize,
-        threads: usize,
-        streaming: bool,
-        atlas: Option<&ClassificationAtlas>,
-    ) -> WindowSweep {
-        Self::run_with_stats(n, threads, streaming, atlas).0
-    }
-
-    /// [`WindowSweep::run`] plus the enumeration's
-    /// [`StreamStats`](bnf_stream::StreamStats) when the streaming
-    /// producer ran (`None` on the materializing, atlas-replay and
-    /// trivially-small paths) — the canonical-construction pruning
-    /// counters the `--streaming` CLI diagnostics report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`].
-    pub fn run_with_stats(
-        n: usize,
-        threads: usize,
-        streaming: bool,
-        atlas: Option<&ClassificationAtlas>,
-    ) -> (WindowSweep, Option<bnf_stream::StreamStats>) {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
+    /// Panics if a sweep is needed and `n` exceeds [`crate::max_sweep_n`]
+    /// (default 8; opt in via `BNF_MAX_N`).
+    pub fn run(n: usize, threads: usize, atlas: Option<&ClassificationAtlas>) -> WindowSweep {
         if let Some(records) = atlas.and_then(|a| a.complete_sweep(n)) {
-            return (WindowSweep { n, records }, None);
+            return WindowSweep { n, records };
         }
-        let engine = AnalysisEngine::new(threads);
-        let job = WindowJob { atlas };
-        let (records, stats) = if streaming {
-            let (records, stats) = engine.run_connected_streaming_keyed_with_stats(n, &job);
-            (records, Some(stats))
-        } else {
-            (engine.run_connected_keyed(n, &job), None)
-        };
-        (WindowSweep { n, records }, stats)
+        Self::run_orchestrated(n, threads, None, atlas, |_| {}).0
     }
 
-    /// One shard of a multi-invocation sweep: classifies only the
-    /// final-level children of the parent-frontier range owned by
-    /// `shard` (`bnf_stream::stream_connected_shard` through the keyed
-    /// streaming engine path), returning the shard's records in engine
-    /// order *within the shard* plus the producer's
-    /// [`ShardStats`](bnf_stream::ShardStats). The caller persists the
-    /// records and shard metadata into a segment atlas; `shard_merge`
-    /// folds segments into the coverage-complete store.
+    /// Classifies every connected topology on `n` vertices on the
+    /// orchestrator: the parent frontier is built **once**, split into
+    /// `ranges` work-stolen ranges (`None` → ≈ 16× the thread count)
+    /// and classified on `threads` workers, and `on_segment` sees each
+    /// completed range — where the CLI appends records and per-range
+    /// [`bnf_atlas::ShardMeta`] into one store. Returns the full
+    /// catalogue in engine order plus the run's [`OrchestratorStats`]
+    /// (whose totals equal the unsharded streaming stats exactly).
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`] or `n <= 1` (no
-    /// frontier to shard).
-    pub fn run_shard(
-        n: usize,
-        threads: usize,
-        shard: bnf_stream::ShardSpec,
-        atlas: Option<&ClassificationAtlas>,
-    ) -> (WindowSweep, bnf_stream::ShardStats) {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
-        let engine = AnalysisEngine::new(threads);
-        let job = WindowJob { atlas };
-        let (records, stats) = engine.run_connected_streaming_keyed_shard(n, shard, &job);
-        (WindowSweep { n, records }, stats)
-    }
-
-    /// The one-command in-process replacement for the whole
-    /// shard/merge cycle: builds the parent frontier **once**, splits
-    /// it into `ranges` work-stolen ranges (`None` → ≈ 16× the thread
-    /// count) and classifies them on `threads` workers
-    /// ([`AnalysisEngine::run_connected_streaming_keyed_orchestrated`]),
-    /// invoking `on_segment` with each completed range — where the CLI
-    /// appends records and per-range [`bnf_atlas::ShardMeta`] into one
-    /// store — before returning the full catalogue in engine order,
-    /// byte-identical to [`WindowSweep::run`], plus the run's
-    /// [`OrchestratorStats`] (whose totals equal the unsharded
-    /// streaming stats exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`] or `n <= 1` (no
-    /// frontier to orchestrate); propagates panics from `on_segment`.
+    /// Panics if `n` exceeds [`crate::max_sweep_n`]; propagates panics
+    /// from `on_segment`.
     pub fn run_orchestrated<W>(
         n: usize,
         threads: usize,
@@ -282,53 +214,47 @@ impl WindowSweep {
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
-        let engine = AnalysisEngine::new(threads);
-        let job = WindowJob { atlas };
-        let (records, stats) =
-            engine.run_connected_streaming_keyed_orchestrated(n, ranges, &job, on_segment);
-        (WindowSweep { n, records }, stats)
+        let plan = RangePlan::all(ranges.unwrap_or_else(|| auto_range_count(threads)));
+        Self::run_plan(n, threads, &plan, atlas, on_segment)
     }
 
-    /// Resumed twin of [`WindowSweep::run_orchestrated`]: executes only
-    /// the ranges `plan` lists as missing — completed ranges were
-    /// durably persisted by a prior interrupted run and are never
-    /// re-streamed. The returned [`WindowSweep`] holds the *executed*
-    /// ranges' records only; the caller replays the full catalogue from
-    /// the store ([`ClassificationAtlas::complete_sweep`]) once coverage
-    /// closes across runs.
+    /// The shared body of every sweep: runs the ranges `plan` lists
+    /// ([`AnalysisEngine::sweep`]) with the windows job, consulting
+    /// `atlas` for keys it already holds. For a partial plan (resume,
+    /// `--shard`) the returned [`WindowSweep`] holds the executed
+    /// ranges' records only; a resumed caller replays the full
+    /// catalogue from the store ([`ClassificationAtlas::complete_sweep`])
+    /// once coverage closes.
     ///
     /// # Panics
     ///
-    /// Panics if `n` exceeds [`crate::max_sweep_n`], `n <= 1`, or the
-    /// plan is incompatible with the rebuilt frontier (wrong
-    /// `frontier_len`) — see
-    /// [`AnalysisEngine::run_connected_streaming_keyed_orchestrated_resumed`].
-    pub fn run_orchestrated_resumed<W>(
+    /// Panics if `n` exceeds [`crate::max_sweep_n`] or `plan` does not
+    /// fit the rebuilt frontier; propagates panics from `on_segment`.
+    pub fn run_plan<W>(
         n: usize,
         threads: usize,
-        plan: &bnf_engine::ResumePlan,
+        plan: &RangePlan,
         atlas: Option<&ClassificationAtlas>,
         on_segment: W,
     ) -> (WindowSweep, OrchestratorStats)
     where
         W: FnMut(RangeSegment<'_, WindowRecord>),
     {
-        let cap = crate::max_sweep_n();
-        assert!(
-            n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
-        let engine = AnalysisEngine::new(threads);
+        assert_sweep_order(n);
         let job = WindowJob { atlas };
-        let (records, stats) =
-            engine.run_connected_streaming_keyed_orchestrated_resumed(n, plan, &job, on_segment);
+        let (records, stats) = AnalysisEngine::new(threads).sweep(n, plan, &job, on_segment);
         (WindowSweep { n, records }, stats)
     }
+}
+
+/// The one `BNF_MAX_N` guard of the library sweeps (the CLI checks the
+/// same bound up front as a usage error).
+fn assert_sweep_order(n: usize) {
+    let cap = crate::max_sweep_n();
+    assert!(
+        n <= cap,
+        "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
+    );
 }
 
 /// The legacy per-α classification job: equilibrium membership of one
@@ -393,64 +319,41 @@ impl Analysis for SweepJob {
 }
 
 impl SweepResult {
-    /// Enumerates all connected topologies on `config.n` vertices,
-    /// classifies each into an α-independent [`WindowRecord`] on the
-    /// analysis engine (materializing the graph list first), and
-    /// evaluates the config's α grid as a post-pass. Identical records
-    /// to the legacy per-α path ([`SweepResult::run_per_alpha`]), bit
-    /// for bit.
+    /// Classifies all connected topologies on `config.n` vertices into
+    /// α-independent [`WindowRecord`]s on the orchestrator
+    /// ([`WindowSweep::run`]) and evaluates the config's α grid as a
+    /// post-pass. Identical records to the legacy per-α path
+    /// ([`SweepResult::run_per_alpha`]), bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `config.n` exceeds [`crate::max_sweep_n`] (default 8 —
     /// the UCG orientation solve on all 261 080 9-vertex graphs costs
-    /// minutes; opt in via `BNF_MAX_N`, and prefer
-    /// [`SweepResult::run_streaming`] there).
+    /// minutes; opt in via `BNF_MAX_N`).
     pub fn run(config: &SweepConfig) -> SweepResult {
-        Self::run_inner(config, false)
-    }
-
-    /// Streaming twin of [`SweepResult::run`]: classifies each topology
-    /// as the enumeration generates it
-    /// ([`AnalysisEngine::run_connected_streaming_keyed`]), so the
-    /// graph list is never materialized — the enumeration side holds
-    /// one level's frontier (the records still scale with the topology
-    /// count; they are the result). The records — and therefore every
-    /// aggregate statistic, bit for bit — are identical to the
-    /// materializing path's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.n` exceeds [`crate::max_sweep_n`].
-    pub fn run_streaming(config: &SweepConfig) -> SweepResult {
-        Self::run_inner(config, true)
-    }
-
-    fn run_inner(config: &SweepConfig, streaming: bool) -> SweepResult {
-        let windows = WindowSweep::run(config.n, config.threads, streaming, None);
+        let windows = WindowSweep::run(config.n, config.threads, None);
         crate::grid::evaluate(&windows, &config.alphas)
     }
 
-    /// The legacy reference path: classifies every topology directly
-    /// against the α grid with [`SweepJob`], re-deriving window
-    /// membership per grid point. Quadratic in (topologies × grid) the
-    /// way the windows-first path is not — exists so equivalence tests
-    /// can certify the post-pass, and for A/B timing.
+    /// The legacy reference path: classifies every topology of the
+    /// independent dedup-based catalogue
+    /// ([`bnf_enumerate::connected_graphs_unpruned`], which shares no
+    /// code with the sweep's pruned producer) directly against the α
+    /// grid with [`SweepJob`], re-deriving window membership per grid
+    /// point. Quadratic in (topologies × grid) the way the
+    /// windows-first path is not — exists so equivalence tests can
+    /// certify the post-pass and the sweep, and for A/B timing.
     ///
     /// # Panics
     ///
     /// Panics if `config.n` exceeds [`crate::max_sweep_n`].
     pub fn run_per_alpha(config: &SweepConfig) -> SweepResult {
-        let cap = crate::max_sweep_n();
-        assert!(
-            config.n <= cap,
-            "sweeps beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-        );
+        assert_sweep_order(config.n);
         let engine = AnalysisEngine::new(config.threads);
         let job = SweepJob {
             alphas: config.alphas.clone(),
         };
-        let records = engine.run_connected(config.n, &job);
+        let records = engine.run_on(&connected_graphs_unpruned(config.n), &job);
         SweepResult {
             n: config.n,
             alphas: config.alphas.clone(),
@@ -600,11 +503,7 @@ impl SweepResult {
 ///
 /// Panics if `n` exceeds [`crate::max_sweep_n`] or `alpha <= 0`.
 pub fn stable_catalog(n: usize, alpha: Ratio) -> Vec<Graph> {
-    let cap = crate::max_sweep_n();
-    assert!(
-        n <= cap,
-        "catalogues beyond n={cap} need a deliberate opt-in (set BNF_MAX_N)"
-    );
+    assert_sweep_order(n);
     assert!(alpha > Ratio::ZERO, "link cost must be positive");
     let graphs = connected_graphs(n);
     let engine = AnalysisEngine::with_default_threads();
@@ -665,13 +564,17 @@ mod tests {
 
     #[test]
     fn streaming_sweep_bit_identical_to_materializing() {
+        // The oracle test of the one path: the streamed sweep's grid
+        // fold equals the per-α job run over the independent
+        // dedup-based materialized catalogue, record for record and
+        // statistic for statistic.
         let config = SweepConfig {
             n: 6,
             alphas: vec![Ratio::new(1, 2), Ratio::ONE, Ratio::from(3)],
             threads: 2,
         };
-        let mat = SweepResult::run(&config);
-        let stream = SweepResult::run_streaming(&config);
+        let mat = SweepResult::run_per_alpha(&config);
+        let stream = SweepResult::run(&config);
         assert_eq!(stream.records, mat.records, "records must match in order");
         for kind in [GameKind::Bilateral, GameKind::Unilateral] {
             for (s, m) in stream.stats(kind).iter().zip(mat.stats(kind).iter()) {

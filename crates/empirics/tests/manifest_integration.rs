@@ -1,28 +1,24 @@
 //! Cross-layer telemetry integration: the run manifest built from an
 //! orchestrated sweep must carry *exactly* the counters an unsharded
-//! streaming run computes — the counter-recombination law (frontier
-//! prune once + Σ per-range final prune) surfaced through `bnf-obs` —
-//! and the document must survive a serialize → parse round trip.
+//! `stream_connected` run computes — the counter-recombination law
+//! (frontier prune once + Σ per-range final prune) surfaced through
+//! `bnf-obs` — and the document must survive a serialize → parse round
+//! trip.
 
 use bnf_empirics::{build_sweep_manifest, sweep::WindowSweep};
 use bnf_obs::RunManifest;
 
 const N: usize = 7;
 
-/// Unsharded streaming sweep: the ground-truth `StreamStats`.
-fn unsharded() -> (WindowSweep, bnf_stream::StreamStats) {
-    let (windows, stats) = WindowSweep::run_with_stats(N, 2, true, None);
-    (windows, stats.expect("cold streaming run reports stats"))
+/// Unsharded enumeration: the ground-truth `StreamStats`.
+fn unsharded() -> bnf_stream::StreamStats {
+    bnf_stream::stream_connected(N, 2, &|_, _| true)
 }
 
 #[test]
 fn orchestrated_manifest_counters_equal_unsharded_stats_exactly() {
-    let (base_windows, base_stats) = unsharded();
+    let base_stats = unsharded();
     let (windows, orch) = WindowSweep::run_orchestrated(N, 2, None, None, |_| {});
-    assert_eq!(
-        windows.records, base_windows.records,
-        "byte-identical output"
-    );
 
     let manifest = build_sweep_manifest(N, "orchestrated", 0, &windows, Some(&orch.stats));
     // Every named pruning counter matches the unsharded run exactly —
@@ -53,8 +49,10 @@ fn orchestrated_manifest_counters_equal_unsharded_stats_exactly() {
 
 #[test]
 fn sweep_manifest_round_trips_through_json() {
-    let (windows, stats) = unsharded();
-    let mut manifest = build_sweep_manifest(N, "streaming", 42, &windows, Some(&stats));
+    let (windows, orch) = WindowSweep::run_orchestrated(N, 2, None, None, |_| {});
+    let stats = orch.stats;
+    assert_eq!(stats.prune, unsharded().prune);
+    let mut manifest = build_sweep_manifest(N, "orchestrated", 42, &windows, Some(&stats));
     manifest.set_counter("atlas_hits", 0);
     manifest.set_counter("atlas_appended", windows.records.len() as u64);
     let parsed = RunManifest::from_json(&manifest.to_json()).expect("valid manifest");

@@ -11,27 +11,24 @@
 //!
 //! The engine fuses three concerns the jobs would otherwise duplicate:
 //!
-//! * **Enumeration** — [`AnalysisEngine::run_connected`] drives the
-//!   connected-topology catalogue from `bnf-enumerate` straight into
-//!   classification, and [`AnalysisEngine::run_connected_streaming`]
-//!   does the same without ever materializing the graph list:
-//!   `bnf-stream` producer workers run the canonical-construction
-//!   pruned augmentation (each isomorphism class emitted exactly once,
-//!   no dedup set at all) and feed canonical children through a
-//!   bounded queue into the classification pool — this is what unlocks
-//!   `n = 9/10` sweeps in CI-class memory and CPU.
+//! * **Enumeration** — [`AnalysisEngine::sweep`], the one sweep entry
+//!   point, classifies every connected topology on `n` vertices as it
+//!   is generated: `bnf-stream` builds the level-`n − 1` parent
+//!   frontier once and runs the canonical-construction pruned
+//!   augmentation per parent range (each isomorphism class emitted
+//!   exactly once, no dedup set at all) — this is what unlocks
+//!   `n = 9/10` sweeps in CI-class memory and CPU. Explicit graph
+//!   lists go through [`AnalysisEngine::run_on`], non-graph items
+//!   through [`AnalysisEngine::map`].
 //! * **Work-stealing execution** — a chunked atomic-counter scheduler
 //!   over [`std::thread::scope`] workers (no external thread-pool
-//!   dependency), promoted out of the old `empirics::parallel`. At
-//!   paper scale the same idea moves up a level: the in-process
-//!   **orchestrator**
-//!   ([`AnalysisEngine::run_connected_streaming_keyed_orchestrated`])
-//!   builds the level-`n − 1` parent frontier once, oversplits it into
-//!   ≈ [`DEFAULT_OVERSPLIT`]× more ranges than threads, and lets
-//!   workers steal whole ranges while a single writer streams
-//!   completed [`RangeSegment`]s to the caller — replacing the
-//!   16-invocation multi-process shard workflow with one command and
-//!   no skew cliff.
+//!   dependency) for lists, and at sweep scale the in-process
+//!   **orchestrator**: the frontier is cut into a [`RangePlan`]
+//!   (≈ [`DEFAULT_OVERSPLIT`]× more ranges than threads), workers steal
+//!   whole ranges, and a single writer streams completed
+//!   [`RangeSegment`]s to the caller. The same plan type covers a
+//!   normal sweep, a resumed one, and one host's `--shard i/m` share
+//!   of a multi-host partition.
 //! * **Per-worker scratch reuse** — each worker owns one
 //!   [`WorkerScratch`] for its whole lifetime, so the BFS/distance hot
 //!   path runs allocation-free instead of re-allocating frontier
@@ -40,7 +37,7 @@
 //! # Examples
 //!
 //! ```
-//! use bnf_engine::{Analysis, AnalysisEngine, WorkerScratch};
+//! use bnf_engine::{Analysis, AnalysisEngine, RangePlan, WorkerScratch};
 //! use bnf_graph::Graph;
 //!
 //! /// Classify each connected topology by (edges, total distance).
@@ -56,8 +53,9 @@
 //! }
 //!
 //! let engine = AnalysisEngine::new(2);
-//! let records = engine.run_connected(5, &Census);
+//! let (records, stats) = engine.sweep(5, &RangePlan::all(8), &Census, |_segment| {});
 //! assert_eq!(records.len(), 21); // connected graphs on 5 vertices
+//! assert_eq!(stats.emitted(), 21);
 //! ```
 
 #![warn(missing_docs)]
@@ -70,7 +68,7 @@ mod scratch;
 
 pub use executor::{default_threads, parallel_map, parallel_map_with};
 pub use orchestrator::{
-    auto_range_count, OrchestratorStats, RangeSegment, ResumePlan, DEFAULT_OVERSPLIT,
+    auto_range_count, OrchestratorStats, RangePlan, RangeSegment, DEFAULT_OVERSPLIT,
 };
 pub use pipeline::{Analysis, AnalysisEngine};
 pub use scratch::WorkerScratch;

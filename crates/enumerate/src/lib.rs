@@ -33,7 +33,11 @@
 //! and hands each final-level graph to the caller the moment it is
 //! accepted. [`connected_graphs`] and [`for_each_connected_graph`]
 //! delegate to that producer; classification workloads should go one
-//! seam higher (`bnf_engine::AnalysisEngine::run_connected_streaming`).
+//! seam higher (`bnf_engine::AnalysisEngine::sweep`). The sweep path
+//! itself does not use this crate: it is the test-side oracle, and
+//! [`connected_graphs_unpruned`] — canonicalize every candidate, dedup
+//! in a hash set — is the generator that shares no code with the
+//! pruned producer.
 //!
 //! # Examples
 //!
@@ -189,12 +193,12 @@ pub fn free_trees(n: usize) -> Vec<Graph> {
 /// # Memory contract
 ///
 /// `O(largest single enumeration level)`: at any moment this holds one
-/// level's parent frontier, the *next* frontier being built (for
-/// intermediate levels), and one level's canonical-key dedup set —
-/// never the final graph list. It delegates to
+/// level's parent frontier and the *next* frontier being built (for
+/// intermediate levels) — never the final graph list, and no dedup set.
+/// It delegates to
 /// `bnf_stream::for_each_connected`; parallel classification workloads
-/// should use `bnf_engine::AnalysisEngine::run_connected_streaming`,
-/// which adds sharded dedup and bounded-channel hand-off on the same
+/// should use `bnf_engine::AnalysisEngine::sweep`, which adds
+/// work-stolen parent ranges and per-worker scratch on the same
 /// producer.
 ///
 /// # Panics

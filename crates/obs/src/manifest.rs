@@ -96,8 +96,9 @@ pub struct RunManifest {
     /// Graph order the run swept (0 when not order-scoped, e.g. a
     /// merge over mixed segments).
     pub order: u32,
-    /// Which enumeration path ran: `streaming`, `materializing`,
-    /// `orchestrated`, `shard`, or `merge`.
+    /// Which path ran: `orchestrated` (a sweep, `--shard` included),
+    /// `replay` (a warm replay from a coverage-complete store), or
+    /// `merge`.
     pub path: String,
     /// Topologies emitted / records merged by the run.
     pub emitted: u64,
@@ -476,7 +477,7 @@ mod tests {
             tool: "fig2_avg_poa".into(),
             command: vec![
                 "fig2".into(),
-                "--streaming".into(),
+                "--csv".into(),
                 "--shards".into(),
                 "auto".into(),
             ],
@@ -575,7 +576,7 @@ mod tests {
 
     #[test]
     fn counter_upsert_keeps_names_sorted() {
-        let mut m = RunManifest::new("t", 7, "streaming");
+        let mut m = RunManifest::new("t", 7, "orchestrated");
         m.set_counter("zeta", 1);
         m.set_counter("alpha", 2);
         m.set_counter("zeta", 3);
@@ -586,7 +587,7 @@ mod tests {
 
     #[test]
     fn absorb_merges_recorder_snapshots() {
-        let mut m = RunManifest::new("t", 7, "streaming");
+        let mut m = RunManifest::new("t", 7, "orchestrated");
         m.set_counter("candidates", 100);
         let r = crate::Recorder::new();
         r.add("candidates", 11);
@@ -603,7 +604,7 @@ mod tests {
 
     #[test]
     fn metric_values_round_trip() {
-        let mut m = RunManifest::new("t", 8, "streaming");
+        let mut m = RunManifest::new("t", 8, "orchestrated");
         m.push_metric("manifest/x/8", 5.0);
         m.push_metric("manifest/y/8", 0.015625);
         let parsed = RunManifest::from_json(&m.to_json()).unwrap();

@@ -31,8 +31,6 @@ pub fn render_classified_line(m: &RunManifest) -> String {
 
 /// The canonical-construction pruning-counter line, when the run
 /// enumerated (a warm replay has no counters and renders nothing).
-/// The shard path labels its line explicitly: its counters cover the
-/// final level only.
 pub fn render_enumeration_line(m: &RunManifest) -> Option<String> {
     let candidates = m.counter("candidates")?;
     let accepted = m.counter("accepted").unwrap_or(0);
@@ -41,30 +39,16 @@ pub fn render_enumeration_line(m: &RunManifest) -> Option<String> {
     } else {
         candidates as f64 / accepted as f64
     };
-    Some(if m.path == "shard" {
-        format!(
-            "shard enumeration (final level only): {} candidates ({} orbit-skipped), \
-             {} cheap-rejected, {} search-rejected, {} duplicates, {} accepted \
-             ({ratio:.2} candidates/survivor)",
-            candidates,
-            m.counter("orbit_skipped").unwrap_or(0),
-            m.counter("cheap_rejected").unwrap_or(0),
-            m.counter("search_rejected").unwrap_or(0),
-            m.counter("duplicates").unwrap_or(0),
-            accepted,
-        )
-    } else {
-        format!(
-            "enumeration: {} candidates ({} orbit-skipped masks), {} cheap-rejected, \
-             {} search-rejected, {} duplicates, {} accepted ({ratio:.2} candidates/survivor)",
-            candidates,
-            m.counter("orbit_skipped").unwrap_or(0),
-            m.counter("cheap_rejected").unwrap_or(0),
-            m.counter("search_rejected").unwrap_or(0),
-            m.counter("duplicates").unwrap_or(0),
-            accepted,
-        )
-    })
+    Some(format!(
+        "enumeration: {} candidates ({} orbit-skipped masks), {} cheap-rejected, \
+         {} search-rejected, {} duplicates, {} accepted ({ratio:.2} candidates/survivor)",
+        candidates,
+        m.counter("orbit_skipped").unwrap_or(0),
+        m.counter("cheap_rejected").unwrap_or(0),
+        m.counter("search_rejected").unwrap_or(0),
+        m.counter("duplicates").unwrap_or(0),
+        accepted,
+    ))
 }
 
 /// The peak-RSS line. `None` renders an explicit `unavailable` —
@@ -112,10 +96,10 @@ mod tests {
 
     #[test]
     fn classified_line_matches_the_legacy_formats() {
-        let m = manifest("streaming");
+        let m = manifest("replay");
         assert_eq!(
             render_classified_line(&m),
-            "classified 853 topologies: classification took 42 ms (streaming path)"
+            "classified 853 topologies: classification took 42 ms (replay path)"
         );
         let mut orch = manifest("orchestrated");
         orch.set_counter("ranges", 64);
@@ -130,18 +114,14 @@ mod tests {
 
     #[test]
     fn enumeration_line_renders_counters_and_ratio() {
-        let m = manifest("streaming");
+        let m = manifest("replay");
         assert_eq!(
             render_enumeration_line(&m).unwrap(),
             "enumeration: 4082 candidates (100 orbit-skipped masks), 200 cheap-rejected, \
              300 search-rejected, 400 duplicates, 853 accepted (4.79 candidates/survivor)"
         );
-        let shard = manifest("shard");
-        assert!(render_enumeration_line(&shard)
-            .unwrap()
-            .starts_with("shard enumeration (final level only): 4082 candidates"));
         // Warm replay: no counters, no line.
-        let mut warm = RunManifest::new("fig2_avg_poa", 7, "streaming");
+        let mut warm = RunManifest::new("fig2_avg_poa", 7, "replay");
         warm.emitted = 853;
         assert_eq!(render_enumeration_line(&warm), None);
     }
@@ -149,8 +129,8 @@ mod tests {
     #[test]
     fn peak_rss_is_explicit_when_unavailable() {
         assert_eq!(
-            format_peak_rss(Some(51_200), "streaming"),
-            "peak RSS: 50.0 MiB (streaming path)"
+            format_peak_rss(Some(51_200), "replay"),
+            "peak RSS: 50.0 MiB (replay path)"
         );
         assert_eq!(
             format_peak_rss(None, "orchestrated"),
@@ -160,13 +140,13 @@ mod tests {
 
     #[test]
     fn full_report_covers_the_none_rss_branch() {
-        let mut m = manifest("streaming");
+        let mut m = manifest("replay");
         m.peak_rss_kb = None;
         let report = render_run_report(&m);
         let lines: Vec<&str> = report.lines().collect();
         assert_eq!(lines.len(), 3);
-        assert_eq!(lines[2], "peak RSS: unavailable (streaming path)");
+        assert_eq!(lines[2], "peak RSS: unavailable (replay path)");
         m.peak_rss_kb = Some(2_048);
-        assert!(render_run_report(&m).contains("peak RSS: 2.0 MiB (streaming path)"));
+        assert!(render_run_report(&m).contains("peak RSS: 2.0 MiB (replay path)"));
     }
 }

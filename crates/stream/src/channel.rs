@@ -1,9 +1,9 @@
 //! A small bounded multi-producer multi-consumer queue.
 //!
-//! `std::sync::mpsc::sync_channel` is single-consumer; the streaming
-//! pipeline needs many enumeration workers feeding many classification
-//! workers through a *bounded* buffer (so a fast producer cannot
-//! materialize the level it is supposed to be streaming). This is the
+//! `std::sync::mpsc::sync_channel` is single-consumer; the orchestrator
+//! needs many range workers feeding its writer through a *bounded*
+//! buffer (so fast workers cannot pile up completed segments the writer
+//! has not committed yet). This is the
 //! classic `Mutex<VecDeque>` + two-condvar implementation, plus a
 //! [`CloseGuard`] so a panicking side closes the queue instead of
 //! deadlocking the other side.

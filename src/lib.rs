@@ -44,32 +44,32 @@
 //!
 //! The other figure binaries follow the same shape: `fig3_avg_links`,
 //! `fig1_gallery`, `poa_bounds`, `lemma6_cycles`, `efficiency_scan`.
-//! Add `--streaming` to classify topologies as the enumeration
-//! generates them (identical output bit for bit, no materialized graph
-//! list — the enumeration side holds one level's frontier); orders
-//! beyond the default `n = 8` ceiling opt in at runtime via the
-//! `BNF_MAX_N` environment variable:
+//! Every sweep classifies topologies as the enumeration generates them,
+//! on work-stolen ranges of the parent frontier (`--shards auto|R`,
+//! default auto — no materialized graph list); orders beyond the
+//! default `n = 8` ceiling opt in at runtime via the `BNF_MAX_N`
+//! environment variable:
 //!
 //! ```text
-//! BNF_MAX_N=9 cargo run --release -p bnf-empirics --bin fig2_avg_poa -- --n 9 --streaming
+//! BNF_MAX_N=9 cargo run --release -p bnf-empirics --bin fig2_avg_poa -- --n 9
 //! ```
 //!
 //! Classification is windows-first: each topology is classified once
 //! into α-independent windows, and the α axis is a free post-pass.
 //! `--grid log2:1/4:64:32` evaluates a log-dense axis from the same
 //! records; `--atlas sweeps.bnfatlas` persists them, so re-runs (any
-//! grid, any enumeration mode, `efficiency_scan` and `poa_bounds`
-//! included) replay from the store instead of re-classifying:
+//! grid, `efficiency_scan` and `poa_bounds` included) replay from the
+//! store instead of re-classifying:
 //!
 //! ```text
 //! cargo run --release -p bnf-empirics --bin fig2_avg_poa -- \
 //!     --n 8 --atlas sweeps.bnfatlas --grid log2:1/4:64:32
 //! ```
 //!
-//! Big sweeps shard across processes (or machines): `--shard i/m`
-//! classifies one contiguous range of the parent frontier into its own
-//! atlas segment, and the `shard_merge` binary (bnf-atlas) folds the
-//! segments into one coverage-complete store — see
+//! Big sweeps shard across processes (or machines): `--shard i/m` runs
+//! the same sweep over one host's contiguous share of the parent
+//! frontier into its own atlas segment, and the `shard_merge` binary
+//! (bnf-atlas) folds the segments into one coverage-complete store — see
 //! `crates/atlas/README.md`, "Sharded sweeps", for the n = 10 recipe:
 //!
 //! ```text
@@ -108,7 +108,7 @@
 //! Defining a new exhaustive study is one [`engine::Analysis`] impl:
 //!
 //! ```
-//! use bilateral_formation::engine::{Analysis, AnalysisEngine, WorkerScratch};
+//! use bilateral_formation::engine::{Analysis, AnalysisEngine, RangePlan, WorkerScratch};
 //! use bilateral_formation::graph::Graph;
 //!
 //! struct DiameterCensus;
@@ -118,7 +118,8 @@
 //!         g.diameter().expect("connected")
 //!     }
 //! }
-//! let diameters = AnalysisEngine::new(2).run_connected(5, &DiameterCensus);
+//! let (diameters, _stats) =
+//!     AnalysisEngine::new(2).sweep(5, &RangePlan::all(8), &DiameterCensus, |_| {});
 //! assert_eq!(diameters.len(), 21);
 //! ```
 

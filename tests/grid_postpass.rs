@@ -94,9 +94,10 @@ fn assert_bit_identical(a: &SweepResult, b: &SweepResult, label: &str) {
     }
 }
 
-/// Acceptance gate: at the paper's α grid the legacy per-α path, the
-/// windows-first post-pass (both enumeration modes), and an atlas-warm
-/// re-run all render byte-identical Figure 2/3 CSVs.
+/// Acceptance gate: at the paper's α grid the legacy per-α path over
+/// the materialized catalogue, the windows-first post-pass over the
+/// sweep, and atlas-warm re-runs all render byte-identical Figure 2/3
+/// CSVs.
 #[test]
 fn paper_grid_csvs_identical_across_all_paths() {
     let config = SweepConfig {
@@ -105,21 +106,18 @@ fn paper_grid_csvs_identical_across_all_paths() {
     };
     let legacy = SweepResult::run_per_alpha(&config);
     let windows_first = SweepResult::run(&config);
-    let streaming = SweepResult::run_streaming(&config);
     assert_bit_identical(&windows_first, &legacy, "windows-first vs legacy");
-    assert_bit_identical(&streaming, &legacy, "streaming windows vs legacy");
 
     let path = scratch_path("paper-grid");
     std::fs::remove_file(&path).ok();
     let mut atlas = ClassificationAtlas::open(&path).unwrap();
     // Cold: classifies everything, appends everything.
-    let cold = WindowSweep::run(config.n, config.threads, false, Some(&atlas));
+    let cold = WindowSweep::run(config.n, config.threads, Some(&atlas));
     let appended = atlas.append_records(&cold.records).unwrap();
     assert_eq!(appended, cold.records.len(), "cold run stores every record");
     // Warm, per-key path (no coverage marker yet): every record served
-    // from the store (0 fresh appends), via the *other* enumeration
-    // path for good measure.
-    let warm = WindowSweep::run(config.n, config.threads, true, Some(&atlas));
+    // from the store (0 fresh appends).
+    let warm = WindowSweep::run(config.n, config.threads, Some(&atlas));
     assert_eq!(warm.records, cold.records);
     assert_eq!(atlas.append_records(&warm.records).unwrap(), 0);
     let warm_eval = grid::evaluate(&warm, &config.alphas);
@@ -128,7 +126,7 @@ fn paper_grid_csvs_identical_across_all_paths() {
     // Warm, coverage fast path: the full catalogue replays from the
     // store in engine order without enumerating at all.
     atlas.mark_complete(config.n, cold.records.len()).unwrap();
-    let replayed = WindowSweep::run(config.n, config.threads, false, Some(&atlas));
+    let replayed = WindowSweep::run(config.n, config.threads, Some(&atlas));
     assert_eq!(replayed.records, cold.records, "replay preserves order");
     let replay_eval = grid::evaluate(&replayed, &config.alphas);
     assert_bit_identical(&replay_eval, &legacy, "atlas-replay vs legacy");
@@ -137,7 +135,6 @@ fn paper_grid_csvs_identical_across_all_paths() {
     let reference3 = fig3_csv(&legacy);
     for (label, sweep) in [
         ("windows-first", &windows_first),
-        ("streaming", &streaming),
         ("atlas-warm", &warm_eval),
     ] {
         assert_eq!(fig2_csv(sweep), reference2, "fig2 CSV differs: {label}");
@@ -203,7 +200,7 @@ fn boundary_pool(windows: &WindowSweep) -> Vec<Ratio> {
 fn random_grids_match_per_alpha_reference_to_n7() {
     let mut state = 0x5EED_2026u64;
     for n in 4..=7usize {
-        let windows = WindowSweep::run(n, 2, false, None);
+        let windows = WindowSweep::run(n, 2, None);
         let pool = boundary_pool(&windows);
         assert!(!pool.is_empty(), "n={n}: no window endpoints?");
         // Fewer, larger grids at n = 7 (853 topologies per legacy pass).
@@ -230,7 +227,7 @@ fn random_grids_match_per_alpha_reference_to_n7() {
 /// paper grid as a strict subset of a refined log2 grid's answers.
 #[test]
 fn named_grids_are_free_post_passes() {
-    let windows = WindowSweep::run(6, 2, false, None);
+    let windows = WindowSweep::run(6, 2, None);
     let paper = grid::evaluate(&windows, &GridSpec::Paper.alphas());
     let dense = grid::evaluate(
         &windows,

@@ -1,17 +1,20 @@
-//! Equivalence properties of the in-process parallel shard orchestrator
-//! (PR 6): for seeded random thread budgets and oversplit factors the
-//! orchestrated sweep reproduces the unsharded streaming sweep — and a
-//! multi-process segment-merge replay — byte for byte, its counters
-//! equal the unsharded counters exactly, and a panic in the writer
-//! callback poisons the atlas write cleanly (no coverage declared).
+//! Equivalence properties of the in-process parallel shard orchestrator,
+//! the one sweep path: for seeded random thread budgets and oversplit
+//! factors the sweep reproduces the independent materialized catalogue
+//! — and a multi-process segment-merge replay — byte for byte, its
+//! counters equal the unsharded `stream_connected` counters exactly,
+//! and a panic in the writer callback poisons the atlas write cleanly
+//! (no coverage declared).
 
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCoverage, ShardMeta};
-use bilateral_formation::empirics::{grid, render_csv, SweepConfig, WindowSweep};
-use bilateral_formation::stream::ShardSpec;
+use bilateral_formation::empirics::{grid, render_csv, SweepConfig, WindowJob, WindowSweep};
+use bilateral_formation::engine::{AnalysisEngine, RangePlan};
+use bilateral_formation::enumerate::connected_graphs_unpruned;
+use bilateral_formation::stream::{stream_connected, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -52,13 +55,15 @@ fn csv(sweep: &WindowSweep) -> String {
 
 /// Seeded rounds over n ≤ 7: any thread count and any oversplit —
 /// including one range total and far more ranges than the frontier has
-/// parents — must reproduce the unsharded sweep record-for-record and
-/// CSV-byte-for-byte.
+/// parents — must reproduce the materialized oracle catalogue
+/// record-for-record and CSV-byte-for-byte.
 #[test]
 fn orchestrated_sweeps_match_unsharded_for_random_shapes() {
     let mut rng = StdRng::seed_from_u64(0x0C8E_0001);
     for n in [3usize, 5, 7] {
-        let whole = WindowSweep::run(n, 2, true, None);
+        let records =
+            AnalysisEngine::new(2).run_on(&connected_graphs_unpruned(n), &WindowJob::default());
+        let whole = WindowSweep { n, records };
         let whole_csv = csv(&whole);
         for round in 0..3 {
             let threads = rng.gen_range(1..5usize);
@@ -87,14 +92,14 @@ fn orchestrated_sweeps_match_unsharded_for_random_shapes() {
 
 /// The counter-share satellite at enumeration scale (n = 8, 11 117
 /// topologies): frontier-build counters attached once plus summed
-/// per-range shares equal the unsharded streaming counters exactly.
+/// per-range shares equal the unsharded `stream_connected` counters
+/// exactly.
 #[test]
 fn orchestrated_counters_equal_unsharded_at_n8() {
     let n = 8;
-    let (whole, stats) = WindowSweep::run_with_stats(n, 3, true, None);
-    let unsharded = stats.expect("streaming path reports stats");
+    let unsharded = stream_connected(n, 3, &|_, _| true);
     let (orch, orch_stats) = WindowSweep::run_orchestrated(n, 3, None, None, |_| {});
-    assert_eq!(orch.records.len(), whole.records.len());
+    assert_eq!(orch.records.len() as u64, unsharded.emitted());
     assert_eq!(orch_stats.stats.level_sizes, unsharded.level_sizes);
     assert_eq!(orch_stats.stats.prune, unsharded.prune);
     // The split itself recombines to the same totals: one frontier
@@ -113,30 +118,32 @@ fn orchestrated_store_matches_four_segment_merge_replay() {
     let n = 7;
     let threads = 2;
 
-    // Multi-process reference: 4 segment files folded by the merge.
+    // Multi-process reference: 4 `--shard i/4` segment files folded by
+    // the merge.
     let mut seg_paths = Vec::new();
     for index in 0..4usize {
-        let shard = ShardSpec::new(index, 4);
+        let plan = RangePlan::shard(ShardSpec::new(index, 4));
         let path = scratch_path(&format!("seg{index}"));
         let mut segment = ClassificationAtlas::open(&path).unwrap();
-        let (windows, run) = WindowSweep::run_shard(n, threads, shard, Some(&segment));
-        segment.append_records(&windows.records).unwrap();
-        segment
-            .append_shard_meta(&ShardMeta {
-                order: n as u16,
-                shard_index: index as u32,
-                shard_count: 4,
-                frontier_len: run.frontier_len,
-                parent_lo: run.parent_lo,
-                parent_hi: run.parent_hi,
-                emitted: run.stats.emitted(),
-                elapsed_ms: 0,
-                peak_rss_kb: None,
-                orchestrator_run: None,
-                frontier_prune: run.frontier_prune(),
-                final_prune: run.final_prune,
-            })
-            .unwrap();
+        WindowSweep::run_plan(n, threads, &plan, None, |seg| {
+            segment.append_records(seg.records).unwrap();
+            segment
+                .append_shard_meta(&ShardMeta {
+                    order: n as u16,
+                    shard_index: seg.index as u32,
+                    shard_count: seg.ranges as u32,
+                    frontier_len: seg.frontier_len,
+                    parent_lo: seg.parent_lo,
+                    parent_hi: seg.parent_hi,
+                    emitted: seg.emitted,
+                    elapsed_ms: 0,
+                    peak_rss_kb: None,
+                    orchestrator_run: Some(10 + index as u64),
+                    frontier_prune: seg.frontier_prune,
+                    final_prune: seg.final_prune,
+                })
+                .unwrap();
+        });
         seg_paths.push(path);
     }
     let merged_path = scratch_path("merged");
@@ -175,8 +182,8 @@ fn orchestrated_store_matches_four_segment_merge_replay() {
     assert_eq!(ShardMeta::process_count(orch_atlas.shard_metas()), 1);
 
     // Both stores replay the identical catalogue, CSV bytes included.
-    let from_merged = WindowSweep::run(n, threads, false, Some(&merged));
-    let from_orch = WindowSweep::run(n, threads, false, Some(&orch_atlas));
+    let from_merged = WindowSweep::run(n, threads, Some(&merged));
+    let from_orch = WindowSweep::run(n, threads, Some(&orch_atlas));
     assert_eq!(from_orch.records, from_merged.records);
     assert_eq!(from_orch.records, orch.records);
     assert_eq!(csv(&from_orch), csv(&from_merged));

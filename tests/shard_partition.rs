@@ -1,20 +1,20 @@
-//! Shard-partition properties of the multi-process enumeration driver
-//! (PR 5): for *random* partitions of the level-`n − 1` parent frontier
-//! the union of per-shard emissions equals the unsharded enumeration
-//! multiset, and a merged segment atlas replays CSVs byte-identical to
-//! a single-process `--atlas` run.
+//! Shard-partition properties of multi-process sweeps: for *random*
+//! partitions of the level-`n − 1` parent frontier the union of
+//! per-range emissions equals the unsharded enumeration multiset, and
+//! the segments of a full `--shard i/m` set merge into the unsharded
+//! catalogue, replaying CSVs byte-identical to a single-process
+//! `--atlas` run.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
 
 use bilateral_formation::atlas::{merge_segments, ClassificationAtlas, ShardCoverage, ShardMeta};
-use bilateral_formation::empirics::{grid, render_csv, WindowSweep};
+use bilateral_formation::empirics::{grid, render_csv, WindowJob, WindowSweep};
+use bilateral_formation::engine::{AnalysisEngine, RangePlan};
+use bilateral_formation::enumerate::connected_graphs_unpruned;
 use bilateral_formation::graph::CanonKey;
-use bilateral_formation::stream::{
-    for_each_connected, stream_connected_range, ShardSpec, ShardStats,
-};
+use bilateral_formation::stream::{for_each_connected, ParentFrontier, ShardSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -50,25 +50,20 @@ fn random_partitions_union_to_the_unsharded_multiset() {
         let mut whole: BTreeMap<CanonKey, u32> = BTreeMap::new();
         for_each_connected(n, |_, key| *whole.entry(key).or_insert(0) += 1);
         assert!(whole.values().all(|&c| c == 1), "n={n}");
-        // Probe the frontier length with an empty range.
-        let probe = stream_connected_range(n, 1, 0, 0, &|_, _| true);
-        let len = probe.frontier_len as usize;
+        let len = ParentFrontier::build(n, 1).len();
         for round in 0..rounds {
             let cuts = random_cuts(&mut rng, len);
             let mut union: BTreeMap<CanonKey, u32> = BTreeMap::new();
             let mut emitted_sum = 0u64;
             for w in cuts.windows(2) {
-                let sink = Mutex::new(Vec::new());
-                let run: ShardStats =
-                    stream_connected_range(n, 1 + round % 2, w[0], w[1], &|_, key| {
-                        sink.lock().unwrap().push(key);
-                        true
-                    });
-                assert_eq!(run.frontier_len as usize, len, "n={n}");
-                emitted_sum += run.stats.emitted();
-                for key in sink.into_inner().unwrap() {
+                // Each range on its own frontier build, as a separate
+                // process would run it.
+                let frontier = ParentFrontier::build(n, 1 + round % 2);
+                assert_eq!(frontier.len(), len, "n={n}");
+                let run = frontier.stream_range(w[0], w[1], |_, key| {
                     *union.entry(key).or_insert(0) += 1;
-                }
+                });
+                emitted_sum += run.emitted;
             }
             assert_eq!(
                 union, whole,
@@ -79,10 +74,13 @@ fn random_partitions_union_to_the_unsharded_multiset() {
     }
 }
 
-/// A random ShardSpec partition classified shard-by-shard into segment
-/// files, folded by the merge, replays CSVs byte-identical to a
-/// single-process `--atlas` sweep — the acceptance property the CI
-/// shard smoke checks at the binary level.
+/// A random `--shard i/m` set classified shard-by-shard into segment
+/// files — each shard's ranges committed with their own `ShardMeta`,
+/// stamped with that process's run id — folds by the merge into the
+/// unsharded catalogue: record-identical to the independent
+/// materialized oracle, and CSV-byte-identical to a single-process
+/// `--atlas` run. The acceptance property the CI shard smoke checks at
+/// the binary level.
 #[test]
 fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
     let n = 7;
@@ -94,35 +92,43 @@ fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
     // CLI's --atlas cold+warm sequence.
     let solo_path = scratch_path("solo");
     let mut solo_atlas = ClassificationAtlas::open(&solo_path).unwrap();
-    let solo = WindowSweep::run(n, threads, false, Some(&solo_atlas));
+    let solo = WindowSweep::run(n, threads, Some(&solo_atlas));
     solo_atlas.append_records(&solo.records).unwrap();
     solo_atlas.mark_complete(n, solo.records.len()).unwrap();
+    let oracle =
+        AnalysisEngine::new(threads).run_on(&connected_graphs_unpruned(n), &WindowJob::default());
+    assert_eq!(
+        solo.records, oracle,
+        "the sweep reproduces the oracle catalogue"
+    );
 
     // Sharded run: one segment file per shard, as separate invocations
     // would write them.
     let mut seg_paths = Vec::new();
     for index in 0..count {
-        let shard = ShardSpec::new(index, count);
+        let plan = RangePlan::shard(ShardSpec::new(index, count));
         let path = scratch_path(&format!("seg{index}"));
         let mut segment = ClassificationAtlas::open(&path).unwrap();
-        let (windows, run) = WindowSweep::run_shard(n, threads, shard, Some(&segment));
-        segment.append_records(&windows.records).unwrap();
-        segment
-            .append_shard_meta(&ShardMeta {
-                order: n as u16,
-                shard_index: index as u32,
-                shard_count: count as u32,
-                frontier_len: run.frontier_len,
-                parent_lo: run.parent_lo,
-                parent_hi: run.parent_hi,
-                emitted: run.stats.emitted(),
-                elapsed_ms: 0,
-                peak_rss_kb: None,
-                orchestrator_run: None,
-                frontier_prune: run.frontier_prune(),
-                final_prune: run.final_prune,
-            })
-            .unwrap();
+        let (windows, _) = WindowSweep::run_plan(n, threads, &plan, None, |seg| {
+            segment.append_records(seg.records).unwrap();
+            segment
+                .append_shard_meta(&ShardMeta {
+                    order: n as u16,
+                    shard_index: seg.index as u32,
+                    shard_count: seg.ranges as u32,
+                    frontier_len: seg.frontier_len,
+                    parent_lo: seg.parent_lo,
+                    parent_hi: seg.parent_hi,
+                    emitted: seg.emitted,
+                    elapsed_ms: 0,
+                    peak_rss_kb: Some(1024),
+                    orchestrator_run: Some(100 + index as u64),
+                    frontier_prune: seg.frontier_prune,
+                    final_prune: seg.final_prune,
+                })
+                .unwrap();
+        });
+        assert_eq!(segment.len(), windows.records.len());
         seg_paths.push(path);
     }
     let merged_path = scratch_path("merged");
@@ -135,8 +141,9 @@ fn merged_segments_replay_csv_byte_identical_to_single_process_run() {
     );
 
     // Warm replay from the merged store must be record-identical...
-    let replay = WindowSweep::run(n, threads, false, Some(&merged));
-    assert_eq!(replay.records, solo.records);
+    assert_eq!(ShardMeta::process_count(merged.shard_metas()), count);
+    let replay = WindowSweep::run(n, threads, Some(&merged));
+    assert_eq!(replay.records, oracle);
     // ...and CSV-byte-identical through the α-grid post-pass (identical
     // record order means identical float-summation order).
     let alphas = bilateral_formation::empirics::SweepConfig::standard(n).alphas;

@@ -8,9 +8,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use bilateral_formation::engine::{Analysis, AnalysisEngine, WorkerScratch};
+use bilateral_formation::engine::{Analysis, AnalysisEngine, RangePlan, WorkerScratch};
 use bilateral_formation::enumerate::{
-    connected_graphs, for_each_connected_graph, CONNECTED_GRAPH_COUNTS,
+    connected_graphs, connected_graphs_unpruned, for_each_connected_graph, CONNECTED_GRAPH_COUNTS,
 };
 use bilateral_formation::graph::{CanonKey, Graph};
 use bilateral_formation::stream::prune::{augment_connected_parent, PruneCounters};
@@ -115,8 +115,8 @@ fn orbit_representative_augmentation_never_drops_a_survivor() {
     }
 }
 
-/// The engine's streaming runner returns classification outputs in the
-/// materializing runner's exact deterministic order.
+/// The engine's one sweep entry point returns classification outputs in
+/// the exact order of the independent materialized catalogue.
 #[test]
 fn engine_streaming_output_order_matches() {
     struct DistanceCensus;
@@ -129,9 +129,10 @@ fn engine_streaming_output_order_matches() {
     }
     let engine = AnalysisEngine::new(2);
     for n in [5, 6, 7] {
+        let (streamed, _) = engine.sweep(n, &RangePlan::all(32), &DistanceCensus, |_| {});
         assert_eq!(
-            engine.run_connected_streaming(n, &DistanceCensus),
-            engine.run_connected(n, &DistanceCensus),
+            streamed,
+            engine.run_on(&connected_graphs_unpruned(n), &DistanceCensus),
             "n={n}"
         );
     }
