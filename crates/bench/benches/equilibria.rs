@@ -1,14 +1,16 @@
 //! Equilibrium-analysis benchmarks: exact stability windows, pairwise
-//! Nash checks and the UCG orientation solver — the kernels of the
-//! Figure 2/3 sweep.
+//! Nash checks, the UCG orientation solver and the whole per-graph
+//! classifier — the kernels of the Figure 2/3 sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bnf_atlas::named::{clebsch, mcgee, petersen};
-use bnf_core::{is_pairwise_nash, stability_window, ucg_necessary_window, UcgAnalyzer};
+use bnf_core::{
+    is_pairwise_nash, stability_window, ucg_necessary_window, UcgAnalyzer, WindowRecord,
+};
 use bnf_games::Ratio;
-use bnf_graph::Graph;
+use bnf_graph::{BfsScratch, Graph};
 
 fn theta7() -> Graph {
     // A 7-vertex workhorse: two hubs joined by three paths.
@@ -76,6 +78,24 @@ fn bench_equilibria(c: &mut Criterion) {
             for g in &n7 {
                 black_box(UcgAnalyzer::new(g).unwrap());
             }
+        })
+    });
+    // The whole classifier on every connected 8-vertex topology: the
+    // link-delta table and its three window folds, the UCG table build
+    // and the clipped solve — what a cold sweep spends nearly all its
+    // time in. Enumeration emits canonical forms, so the graph6 string
+    // is the key.
+    let n8: Vec<Graph> = bnf_enumerate::connected_graphs(8);
+    let keys: Vec<String> = n8.iter().map(Graph::to_graph6).collect();
+    group.bench_function("window_record_n8_batch", |b| {
+        let mut scratch = BfsScratch::new();
+        b.iter(|| {
+            let mut supported = 0usize;
+            for (g, key) in n8.iter().zip(&keys) {
+                let rec = WindowRecord::classify_with_key(key.clone(), g, &mut scratch);
+                supported += usize::from(!rec.ucg_support.is_empty());
+            }
+            black_box(supported)
         })
     });
     group.finish();

@@ -31,11 +31,19 @@ impl DistanceDelta {
     }
 }
 
-/// Reusable calculator for link-move deltas on one graph.
+/// Reusable calculator for link-move deltas on one graph: the per-move
+/// oracle.
 ///
 /// Keeps a scratch BFS buffer and the base distance sums so repeated
-/// queries (one per edge endpoint and non-edge endpoint, as in the
-/// stability window computation) do minimal work.
+/// queries do minimal work. Each query mutates a working copy of the
+/// graph and runs a fresh BFS, independently of every other query. The
+/// direct checks ([`crate::is_pairwise_stable`],
+/// [`crate::is_transfer_stable`]) and the dynamics use it; the
+/// classifier's windows ([`crate::stability_window`],
+/// [`crate::transfer_stability_window`],
+/// [`crate::ucg_necessary_window`], [`crate::WindowRecord`]) instead
+/// fold one shared per-graph table of every link delta, built with
+/// row-substituted bitset BFS, and are tested against this calculator.
 ///
 /// # Examples
 ///

@@ -41,6 +41,7 @@
 mod convexity;
 mod delta;
 mod interval;
+mod link_deltas;
 mod pairwise_nash;
 mod record;
 mod stability;

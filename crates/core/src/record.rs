@@ -12,9 +12,10 @@
 use bnf_graph::{BfsScratch, Graph};
 
 use crate::interval::{ClosedInterval, StabilityWindow};
-use crate::stability::stability_window_with;
-use crate::transfers::transfer_stability_window_with;
-use crate::ucg::{ucg_necessary_window_with, UcgAnalyzer};
+use crate::link_deltas::LinkDeltas;
+use crate::stability::stability_window_from;
+use crate::transfers::transfer_window_from;
+use crate::ucg::{necessary_window_from, UcgAnalyzer};
 
 use bnf_games::Ratio;
 
@@ -57,16 +58,17 @@ impl WindowRecord {
     /// Panics if `g` is disconnected (every sweep enumerates connected
     /// topologies) or exceeds [`crate::MAX_UCG_ORDER`].
     pub fn classify_with_key(key: String, g: &Graph, scratch: &mut BfsScratch) -> WindowRecord {
-        let total_distance = g
-            .total_distance_with(scratch)
-            .expect("window records require a connected graph");
-        let stability = stability_window_with(g, scratch);
-        let transfer = transfer_stability_window_with(g, scratch);
+        // Every deviation distance sum the three windows fold, computed
+        // once; its base sums also give the total distance.
+        let deltas = LinkDeltas::new(g, scratch).expect("window records require a connected graph");
+        let total_distance = deltas.total_distance();
+        let stability = Some(stability_window_from(&deltas));
+        let transfer = transfer_window_from(&deltas);
         // Orientation-free necessary bounds first (the Section 5
         // footnote): an empty necessary window proves the support set is
         // empty without touching the exponential solver, and a finite
         // one clips the solver's probe sequence.
-        let ucg_support = match ucg_necessary_window_with(g, scratch) {
+        let ucg_support = match necessary_window_from(&deltas) {
             None => Vec::new(),
             Some(nec) => UcgAnalyzer::new(g)
                 .expect("connected graph within the UCG order bound")

@@ -18,6 +18,7 @@ use bnf_graph::{BfsScratch, Graph};
 
 use crate::delta::{DeltaCalc, DistanceDelta};
 use crate::interval::{LowerBound, StabilityWindow, Threshold};
+use crate::link_deltas::LinkDeltas;
 
 fn strictly_improves(delta: DistanceDelta, alpha: Ratio) -> bool {
     match delta {
@@ -83,13 +84,38 @@ pub fn stability_window(g: &Graph) -> Option<StabilityWindow> {
 /// [`stability_window`] with caller-provided BFS buffers — the
 /// allocation-free form used by analysis-engine workers.
 pub fn stability_window_with(g: &Graph, scratch: &mut BfsScratch) -> Option<StabilityWindow> {
-    let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
-    let out = stability_window_inner(&mut calc, g);
-    *scratch = calc.into_scratch();
-    out
+    LinkDeltas::new(g, scratch).map(|deltas| stability_window_from(&deltas))
 }
 
-fn stability_window_inner(calc: &mut DeltaCalc<'_>, g: &Graph) -> Option<StabilityWindow> {
+/// Lemma 2's window of a connected graph as a fold over its link-delta
+/// table: the smallest finite drop delta caps α, and each missing link
+/// bounds it below by its smaller endpoint benefit (inclusive when both
+/// are equal — a tie is not blocking).
+pub(crate) fn stability_window_from(deltas: &LinkDeltas) -> StabilityWindow {
+    let mut lower = LowerBound::POSITIVE;
+    for &(a, b) in deltas.adds() {
+        let bound = LowerBound {
+            value: Ratio::from(a.min(b) as i64),
+            inclusive: a == b,
+        };
+        lower = LowerBound::max(lower, bound);
+    }
+    let mut upper = Threshold::Infinite;
+    for &(du, dv) in deltas.drops() {
+        for delta in [du, dv] {
+            if let DistanceDelta::Finite(t) = delta {
+                upper = Threshold::min(upper, Threshold::Finite(Ratio::from(t as i64)));
+            }
+        }
+    }
+    StabilityWindow { lower, upper }
+}
+
+/// The pre-table derivation of [`stability_window`] from per-move
+/// [`DeltaCalc`] queries — the oracle the table fold is tested against.
+#[cfg(test)]
+fn stability_window_oracle(g: &Graph) -> Option<StabilityWindow> {
+    let mut calc = DeltaCalc::new(g);
     let mut upper = Threshold::Infinite;
     for (u, v) in g.edges() {
         for (a, b) in [(u, v), (v, u)] {
@@ -145,6 +171,18 @@ pub fn deletion_thresholds(g: &Graph) -> Vec<(usize, usize, DistanceDelta, Dista
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn window_fold_matches_delta_calc_oracle() {
+        // Every graph up to order 6, disconnected ones included, and
+        // every connected graph of order 7.
+        let graphs = (0..=6)
+            .flat_map(bnf_enumerate::all_graphs)
+            .chain(bnf_enumerate::connected_graphs(7));
+        for g in graphs {
+            assert_eq!(stability_window(&g), stability_window_oracle(&g), "{g:?}");
+        }
+    }
 
     fn r(n: i64) -> Ratio {
         Ratio::from(n)

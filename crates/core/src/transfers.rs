@@ -21,6 +21,7 @@ use bnf_graph::{BfsScratch, Graph};
 
 use crate::delta::{DeltaCalc, DistanceDelta};
 use crate::interval::{ClosedInterval, Threshold};
+use crate::link_deltas::LinkDeltas;
 
 fn joint(a: DistanceDelta, b: DistanceDelta) -> Option<u64> {
     match (a, b) {
@@ -78,13 +79,37 @@ pub fn transfer_stability_window_with(
     g: &Graph,
     scratch: &mut BfsScratch,
 ) -> Option<ClosedInterval> {
-    let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
-    let out = transfer_window_inner(&mut calc, g);
-    *scratch = calc.into_scratch();
-    out
+    LinkDeltas::new(g, scratch).and_then(|deltas| transfer_window_from(&deltas))
 }
 
-fn transfer_window_inner(calc: &mut DeltaCalc<'_>, g: &Graph) -> Option<ClosedInterval> {
+/// The transfer window of a connected graph as a fold over its
+/// link-delta table: half the largest joint add benefit below, half the
+/// smallest finite joint drop penalty above.
+pub(crate) fn transfer_window_from(deltas: &LinkDeltas) -> Option<ClosedInterval> {
+    let lo = deltas
+        .adds()
+        .iter()
+        .map(|&(a, b)| a + b)
+        .max()
+        .map_or(Ratio::ZERO, |j| Ratio::new(j as i64, 2));
+    let mut hi = Threshold::Infinite;
+    for &(du, dv) in deltas.drops() {
+        if let Some(j) = joint(du, dv) {
+            hi = Threshold::min(hi, Threshold::Finite(Ratio::new(j as i64, 2)));
+        }
+    }
+    match hi {
+        Threshold::Finite(h) if h < lo => None,
+        _ => Some(ClosedInterval { lo, hi }),
+    }
+}
+
+/// The pre-table derivation of [`transfer_stability_window`] from
+/// per-move [`DeltaCalc`] queries — the oracle the table fold is tested
+/// against.
+#[cfg(test)]
+fn transfer_window_oracle(g: &Graph) -> Option<ClosedInterval> {
+    let mut calc = DeltaCalc::new(g);
     let mut lo = Ratio::ZERO;
     for (u, v) in g.non_edges().collect::<Vec<_>>() {
         match joint(calc.add_delta(u, v), calc.add_delta(v, u)) {
@@ -108,6 +133,22 @@ fn transfer_window_inner(calc: &mut DeltaCalc<'_>, g: &Graph) -> Option<ClosedIn
 mod tests {
     use super::*;
     use crate::stability::stability_window;
+
+    #[test]
+    fn window_fold_matches_delta_calc_oracle() {
+        // Every graph up to order 6, disconnected ones included, and
+        // every connected graph of order 7.
+        let graphs = (0..=6)
+            .flat_map(bnf_enumerate::all_graphs)
+            .chain(bnf_enumerate::connected_graphs(7));
+        for g in graphs {
+            assert_eq!(
+                transfer_stability_window(&g),
+                transfer_window_oracle(&g),
+                "{g:?}"
+            );
+        }
+    }
 
     fn cycle(n: usize) -> Graph {
         Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n))).unwrap()

@@ -12,12 +12,25 @@
 //!
 //! 1. For player `i`, the deviation graph depends only on `i`'s *effective
 //!    row* `R = (N(i) \ O_i) ∪ S` (others' purchases survive; `i` rewires
-//!    freely), so one BFS per subset `R ⊆ N \ {i}` — `n · 2^(n-1)` BFS
-//!    total — tabulates every distance sum the analysis can ever need.
+//!    freely), so the distance sums `D_i(R)` for every `R ⊆ N \ {i}`
+//!    tabulate every number the analysis can ever need. A shortest path
+//!    out of `i` leaves through some `r ∈ R` and never returns, so
+//!    `d(i,v) = 1 + min_{r∈R} d_{G−i}(r,v)`: one bitset BFS of `G − i`
+//!    per `r` (`n − 1` per player) gives the distance rows, packed as
+//!    byte lanes, and a lowest-bit subset DP fills the whole table —
+//!    `L[R] = lanemin(L[R ∖ low(R)], row[low(R)])`, `D_i(R)` = `n − 1`
+//!    plus the lane sum, unreachable if a lane still holds the
+//!    sentinel. (The one-BFS-per-`R` tabulation survives as a
+//!    `#[cfg(test)]` oracle.)
 //! 2. Every Nash constraint is linear in α with integer coefficients:
-//!    `α(|S| - |O_i|) + (D_S - D_cur) ≥ 0`. Folding over all `S` yields,
-//!    per (vertex, owned set), an exact closed rational interval of
-//!    admissible α ([`ClosedInterval`]).
+//!    `α(|S| - |O_i|) + (D_S - D_cur) ≥ 0`. For a fixed wish-set size
+//!    `|S|` the bound is monotone in `D_S`, so only the cheapest wish
+//!    set of each size binds. A superset-min transform over `i`'s
+//!    neighbour bits gives those cheapest sums for every owned set at
+//!    once, and folding the `≤ n` candidates yields, per (vertex, owned
+//!    set), an exact closed rational interval of admissible α
+//!    ([`ClosedInterval`]). (The per-wish-set fold survives as a
+//!    `#[cfg(test)]` oracle.)
 //! 3. Nash-supportability at α is an exact cover problem: assign each
 //!    edge an owner so every vertex's owned set has an interval
 //!    containing α. It is solved by **constraint propagation** over the
@@ -42,8 +55,9 @@ use std::rc::Rc;
 use bnf_games::Ratio;
 use bnf_graph::{BfsScratch, Graph};
 
-use crate::delta::{DeltaCalc, DistanceDelta};
+use crate::delta::DistanceDelta;
 use crate::interval::{ClosedInterval, Threshold};
+use crate::link_deltas::LinkDeltas;
 
 /// Maximum order accepted by the exact solver (`2^(n-1)` wish sets per
 /// player are enumerated).
@@ -106,36 +120,109 @@ pub struct UcgAnalyzer {
     tables: Vec<Vec<(u64, ClosedInterval)>>,
 }
 
-/// Distance sums from `src` over the row-substituted graph: the base rows
-/// of `g` with `rows[src]` replaced by `src_row`. Only expansion *out of*
-/// `src` uses the substituted row, which is sound because `src` is the
-/// BFS source (edges into `src` are never needed).
-fn distsum_with_row(rows: &[u64], n: usize, src: usize, src_row: u64) -> Option<u64> {
-    let full: u64 = if n == 64 { !0 } else { (1u64 << n) - 1 };
-    let mut seen = 1u64 << src;
-    let mut frontier = seen;
-    let mut d = 0u64;
-    let mut sum = 0u64;
+/// A tabulated distance sum `D_i(R)` whose deviation disconnects `i`.
+/// Real sums fit a byte: at most `n(n-1)/2 = 120` for order 16.
+const UNREACHABLE: u8 = u8::MAX;
+
+/// Distances from one vertex as 16 byte lanes in two words, one lane
+/// per vertex of `N ∖ {i}` in compressed order. Lanes hold 7-bit
+/// values (distances in `G − i` are at most 14), so the lane-wise min
+/// needs no carries; unused lanes hold 0.
+type Lanes = [u64; 2];
+
+/// Lane value of a vertex `G − i` cannot reach.
+const LANE_SENTINEL: u8 = 0x7F;
+/// Per-lane low bit, high bit, and the bit the sentinel sets but no
+/// real distance (≤ 14) does.
+const LANE_LO: u64 = 0x0101_0101_0101_0101;
+const LANE_HI: u64 = 0x8080_8080_8080_8080;
+const LANE_SENTINEL_BIT: u64 = 0x4040_4040_4040_4040;
+
+/// Lane-wise minimum of two words of 7-bit lanes (SWAR): `a | HI` minus
+/// `b` never borrows across lanes, and leaves each lane's high bit set
+/// exactly where `a ≥ b`.
+#[inline]
+fn lane_min(a: u64, b: u64) -> u64 {
+    let a_ge_b = (((a | LANE_HI) - b) & LANE_HI) >> 7;
+    let take_b = a_ge_b * 0xFF;
+    (b & take_b) | (a & !take_b)
+}
+
+/// `D_i(R)` from the lane-wise minimum distances of `G − i` out of `R`:
+/// `n − 1` first hops plus the lane sum, or [`UNREACHABLE`] when a lane
+/// still holds the sentinel. The byte sum by multiply is exact because
+/// eight real lanes sum to at most 112.
+#[inline]
+fn lane_total(l: Lanes, n: usize) -> u8 {
+    if (l[0] | l[1]) & LANE_SENTINEL_BIT != 0 {
+        return UNREACHABLE;
+    }
+    let sum = (l[0].wrapping_mul(LANE_LO) >> 56) + (l[1].wrapping_mul(LANE_LO) >> 56);
+    (n as u64 - 1 + sum) as u8
+}
+
+/// The distance row of `G − i` from `r` as lanes over `N ∖ {i}`.
+fn distance_lanes(rows: &[u64], n: usize, i: usize, r: usize) -> Lanes {
+    let mut bytes = unreached_lanes(n);
+    let lane = |v: usize| if v < i { v } else { v - 1 };
+    // `i` starts seen so the search never passes through it.
+    let mut seen = (1u64 << r) | (1u64 << i);
+    let mut frontier = 1u64 << r;
+    bytes[lane(r)] = 0;
+    let mut d = 0u8;
     while frontier != 0 {
         let mut next = 0u64;
         let mut f = frontier;
         while f != 0 {
-            let v = f.trailing_zeros() as usize;
+            next |= rows[f.trailing_zeros() as usize];
             f &= f - 1;
-            next |= if v == src { src_row } else { rows[v] };
         }
         next &= !seen;
         d += 1;
-        sum += d * u64::from(next.count_ones());
         seen |= next;
         frontier = next;
+        while next != 0 {
+            bytes[lane(next.trailing_zeros() as usize)] = d;
+            next &= next - 1;
+        }
     }
-    (seen == full).then_some(sum)
+    pack_lanes(bytes)
+}
+
+/// Lane bytes with every used lane (`n − 1` of them) unreached.
+fn unreached_lanes(n: usize) -> [u8; 16] {
+    let mut bytes = [0u8; 16];
+    bytes[..n - 1].fill(LANE_SENTINEL);
+    bytes
+}
+
+fn pack_lanes(bytes: [u8; 16]) -> Lanes {
+    let word = |k: usize| u64::from_le_bytes(bytes[8 * k..8 * k + 8].try_into().expect("8 bytes"));
+    [word(0), word(1)]
+}
+
+/// Fills `dist[c]` with `D_i(R)` for every compressed effective row
+/// `c` of player `i` (see the module docs, step 1). `lanes` is the DP
+/// buffer, at least `dist.len()` long.
+fn fill_distance_table(rows: &[u64], n: usize, i: usize, lanes: &mut [Lanes], dist: &mut [u8]) {
+    let mut from = [[0u64; 2]; MAX_UCG_ORDER - 1];
+    for (c, slot) in from.iter_mut().enumerate().take(n - 1) {
+        *slot = distance_lanes(rows, n, i, if c < i { c } else { c + 1 });
+    }
+    lanes[0] = pack_lanes(unreached_lanes(n));
+    dist[0] = lane_total(lanes[0], n);
+    for c in 1..dist.len() {
+        let prev = lanes[c & (c - 1)];
+        let row = from[c.trailing_zeros() as usize];
+        let l = [lane_min(prev[0], row[0]), lane_min(prev[1], row[1])];
+        lanes[c] = l;
+        dist[c] = lane_total(l, n);
+    }
 }
 
 /// Inserts a zero bit at position `i`, expanding a compressed
 /// `(n-1)`-bit mask over `N \ {i}` to an `n`-bit vertex mask.
-#[inline]
+#[cfg(test)]
 fn expand_mask(c: u64, i: usize) -> u64 {
     let low = c & ((1u64 << i) - 1);
     let high = c >> i;
@@ -170,44 +257,38 @@ impl UcgAnalyzer {
         let edges: Vec<(usize, usize)> = g.edges().collect();
         let half = if n == 0 { 0 } else { 1u64 << (n - 1) };
         let mut tables = Vec::with_capacity(n);
-        // Unreachable deviations tabulate as MAX (tighter cache than
-        // Option<u64> in the hot fold below).
-        const UNREACHABLE: u64 = u64::MAX;
-        let mut dist: Vec<u64> = vec![UNREACHABLE; half as usize];
+        // Tabulate D_i(R) for every effective row R (compressed index),
+        // then the cheapest D_i(R) per size over the supersets of each
+        // kept set; the buffers are reused across vertices.
+        let mut lanes: Vec<Lanes> = vec![[0; 2]; half as usize];
+        let mut dist: Vec<u8> = vec![UNREACHABLE; half as usize];
+        let mut by_size: Vec<BySize> = vec![[UNREACHABLE; MAX_UCG_ORDER]; half as usize];
         for i in 0..n {
-            // Tabulate D_i(R) for every effective row R (compressed
-            // index); one buffer reused across vertices.
-            for c in 0..half {
-                dist[c as usize] =
-                    distsum_with_row(&rows, n, i, expand_mask(c, i)).unwrap_or(UNREACHABLE);
-            }
+            fill_distance_table(&rows, n, i, &mut lanes, &mut dist);
             let row = rows[i];
-            let d_cur = dist[compress_mask(row, i) as usize];
+            let row_c = compress_mask(row, i);
+            let d_cur = dist[row_c as usize];
             assert_ne!(d_cur, UNREACHABLE, "connected graph has finite sums");
+            fill_cheapest_by_size(&dist, row_c, &mut by_size);
+            let deg = row.count_ones() as usize;
             let mut table: Vec<(u64, ClosedInterval)> = Vec::new();
-            // Enumerate owned subsets O of N(i) (submask enumeration).
-            // Wish sets are restricted to S disjoint from `keep` — the
-            // neighbours whose edges others buy: wishing for an edge i
-            // already has costs α for the identical graph, so those
-            // constraints are implied (dominated) and skipping them
-            // shrinks the fold from 2^deg · 2^(n-1) to 3^deg · 2^(n-1-deg).
-            let mut o = row;
+            // Owned subsets O of N(i) in increasing mask order, so the
+            // table comes out sorted: deterministic solver behaviour and
+            // binary-searchable point queries. Wish sets range over the
+            // S disjoint from `keep` — the neighbours whose edges others
+            // buy: wishing for an edge i already has costs α for the
+            // identical graph, so those constraints are implied.
+            let mut o = 0u64;
             loop {
                 let keep_c = compress_mask(row & !o, i);
-                let comp = (half - 1) & !keep_c;
-                if let Some(iv) =
-                    best_response_interval(&dist, keep_c, comp, i64::from(o.count_ones()), d_cur)
-                {
+                if let Some(iv) = best_response_interval(&by_size[keep_c as usize], deg, d_cur) {
                     table.push((o, iv));
                 }
-                if o == 0 {
+                if o == row {
                     break;
                 }
-                o = (o - 1) & row;
+                o = ((o | !row) + 1) & row;
             }
-            // Sorted by mask: deterministic solver behaviour and
-            // binary-searchable point queries.
-            table.sort_unstable_by_key(|&(m, _)| m);
             tables.push(table);
         }
         Ok(UcgAnalyzer {
@@ -652,52 +733,82 @@ impl<'a> OrientationSolver<'a> {
     }
 }
 
-/// Folds the Nash constraints of one `(vertex, owned set)` pair into an
-/// admissible-α interval. `keep_c` is the compressed mask of neighbours
-/// whose edges others buy, `comp` the compressed complement the wish
-/// sets range over, `k = |owned|`, and `dist` the tabulated distance
-/// sums (`u64::MAX` = disconnecting deviation).
-fn best_response_interval(
-    dist: &[u64],
-    keep_c: u64,
-    comp: u64,
-    k: i64,
-    d_cur: u64,
-) -> Option<ClosedInterval> {
-    // This fold is the hot loop of the whole analyzer build. Bounds are
-    // tracked as raw numerator/denominator pairs compared by
-    // cross-multiplication (exact in i128) and normalized into `Ratio`
-    // (one gcd) only once at the end, instead of per deviation.
-    let mut lo = (0i64, 1i64); // max(0, -diff/coeff) over coeff > 0
-    let mut hi: Option<(i64, i64)> = None; // min of diff/-coeff over coeff < 0; None = ∞
-    let mut c = comp;
+/// Per wish-row size `s`, the cheapest tabulated `D_i(R)` with `|R| = s`
+/// ([`UNREACHABLE`] when no such deviation keeps `i` connected).
+type BySize = [u8; MAX_UCG_ORDER];
+
+/// Fills `by_size[K]`, for every kept set `K` ⊆ `nb` (the compressed
+/// neighbourhood of `i`), with the cheapest `D_i(R)` per size over all
+/// rows `R ⊇ K` — the deviations open to a player whose edges to `K`
+/// others buy. First each row's sum lands in the slot of its
+/// neighbourhood part `R ∩ nb`; then a superset-min transform over the
+/// neighbour bits folds every slot into its subsets. That costs
+/// `2^(n-1) + deg · 2^(deg-1)` slot operations per player, where a
+/// separate pass over each owned set's wish sets costs
+/// `3^deg · 2^(n-1-deg)`.
+fn fill_cheapest_by_size(dist: &[u8], nb: u64, by_size: &mut [BySize]) {
+    let mut p = nb;
     loop {
-        let d_s = dist[(keep_c | c) as usize];
-        if d_s == u64::MAX {
-            // Disconnecting deviation: infinite cost, never better.
-            if c == 0 {
+        by_size[p as usize] = [UNREACHABLE; MAX_UCG_ORDER];
+        if p == 0 {
+            break;
+        }
+        p = (p - 1) & nb;
+    }
+    for (c, &d) in dist.iter().enumerate() {
+        let slot = &mut by_size[c & nb as usize][c.count_ones() as usize];
+        *slot = (*slot).min(d);
+    }
+    let mut bits = nb;
+    while bits != 0 {
+        let b = bits & bits.wrapping_neg();
+        bits &= bits - 1;
+        let rest = nb & !b;
+        let mut p = rest;
+        loop {
+            let sup = by_size[(p | b) as usize];
+            for (slot, &s) in by_size[p as usize].iter_mut().zip(&sup) {
+                *slot = (*slot).min(s);
+            }
+            if p == 0 {
                 break;
             }
-            c = (c - 1) & comp;
-            continue;
+            p = (p - 1) & rest;
         }
-        let m = i64::from(c.count_ones());
-        let diff = d_s as i64 - d_cur as i64; // distance change of deviation
-        let coeff = m - k; // α-units change of deviation
+    }
+}
+
+/// Folds the Nash constraints of one `(vertex, owned set)` pair into an
+/// admissible-α interval. `cheapest` holds, per row size `s`, the
+/// cheapest distance sum of a deviation keeping the edges others buy
+/// (see [`fill_cheapest_by_size`]); `deg` is the vertex's degree and
+/// `d_cur` its current distance sum.
+///
+/// A deviation to a row of size `s` changes the player's link spend by
+/// `α(s − deg)` and its distance sum by `D_R − D_cur`, so it demands
+/// `α(s − deg) ≥ D_cur − D_R`. For a fixed `s` that bound is monotone
+/// in `D_R`, so only the cheapest row of each size binds, and the fold
+/// runs over at most `n` candidates. Every quantity is tiny
+/// (`|D_R − D_cur| ≤ 120`, `|s − deg| ≤ 15`), so the cross-multiplied
+/// comparisons are exact in `i64`.
+fn best_response_interval(cheapest: &BySize, deg: usize, d_cur: u8) -> Option<ClosedInterval> {
+    let mut lo = (0i64, 1i64); // max(0, -diff/coeff) over coeff > 0
+    let mut hi: Option<(i64, i64)> = None; // min of diff/-coeff over coeff < 0; None = ∞
+    for (s, &d_r) in cheapest.iter().enumerate() {
+        if d_r == UNREACHABLE {
+            continue; // no row of this size keeps i connected
+        }
+        let diff = i64::from(d_r) - i64::from(d_cur);
+        let coeff = s as i64 - deg as i64;
         match coeff.cmp(&0) {
             std::cmp::Ordering::Greater => {
-                // need α ≥ -diff / coeff
-                if i128::from(-diff) * i128::from(lo.1) > i128::from(lo.0) * i128::from(coeff) {
+                if -diff * lo.1 > lo.0 * coeff {
                     lo = (-diff, coeff);
                 }
             }
             std::cmp::Ordering::Less => {
-                // need α ≤ diff / (-coeff)
-                let cand = (diff, -coeff);
-                if hi.is_none_or(|h| {
-                    i128::from(cand.0) * i128::from(h.1) < i128::from(h.0) * i128::from(cand.1)
-                }) {
-                    hi = Some(cand);
+                if hi.is_none_or(|h| diff * h.1 < h.0 * -coeff) {
+                    hi = Some((diff, -coeff));
                 }
             }
             std::cmp::Ordering::Equal => {
@@ -706,11 +817,13 @@ fn best_response_interval(
                 }
             }
         }
-        if c == 0 {
-            break;
-        }
-        c = (c - 1) & comp;
     }
+    interval_from_bounds(lo, hi)
+}
+
+/// The admissible interval `[max(0, lo), hi]` from raw
+/// numerator/denominator bounds, or `None` when it is empty.
+fn interval_from_bounds(lo: (i64, i64), hi: Option<(i64, i64)>) -> Option<ClosedInterval> {
     let lo = if lo.0 <= 0 {
         Ratio::ZERO
     } else {
@@ -753,16 +866,39 @@ pub fn ucg_necessary_window(g: &Graph) -> Option<ClosedInterval> {
 /// [`ucg_necessary_window`] with caller-provided BFS buffers — the
 /// allocation-free form used by analysis-engine workers.
 pub fn ucg_necessary_window_with(g: &Graph, scratch: &mut BfsScratch) -> Option<ClosedInterval> {
+    LinkDeltas::new(g, scratch).and_then(|deltas| necessary_window_from(&deltas))
+}
+
+/// The necessary window of a connected graph as a fold over its
+/// link-delta table.
+pub(crate) fn necessary_window_from(deltas: &LinkDeltas) -> Option<ClosedInterval> {
+    let lo = deltas
+        .adds()
+        .iter()
+        .map(|&(a, b)| a.max(b))
+        .max()
+        .map_or(Ratio::ZERO, |t| Ratio::from(t as i64));
+    let mut hi = Threshold::Infinite;
+    for &drop in deltas.drops() {
+        if let (DistanceDelta::Finite(a), DistanceDelta::Finite(b)) = drop {
+            hi = Threshold::min(hi, Threshold::Finite(Ratio::from(a.max(b) as i64)));
+        }
+    }
+    match hi {
+        Threshold::Finite(h) if h < lo => None,
+        _ => Some(ClosedInterval { lo, hi }),
+    }
+}
+
+/// The pre-table derivation of [`ucg_necessary_window`] from per-move
+/// [`crate::DeltaCalc`] queries — the oracle the table fold is tested
+/// against.
+#[cfg(test)]
+fn necessary_window_oracle(g: &Graph) -> Option<ClosedInterval> {
     if !g.is_connected() {
         return None;
     }
-    let mut calc = DeltaCalc::with_scratch(g, std::mem::take(scratch));
-    let out = necessary_window_inner(&mut calc, g);
-    *scratch = calc.into_scratch();
-    out
-}
-
-fn necessary_window_inner(calc: &mut DeltaCalc<'_>, g: &Graph) -> Option<ClosedInterval> {
+    let mut calc = crate::DeltaCalc::new(g);
     let mut lo = Ratio::ZERO;
     for (u, v) in g.non_edges().collect::<Vec<_>>() {
         for (a, b) in [(u, v), (v, u)] {
@@ -804,6 +940,148 @@ mod tests {
 
     fn star(n: usize) -> Graph {
         Graph::from_edges(n, (1..n).map(|i| (0, i))).unwrap()
+    }
+
+    /// The pre-DP tabulation: one row-substituted BFS per effective row
+    /// `R` — the oracle [`fill_distance_table`] is tested against.
+    fn bfs_distance_table(rows: &[u64], n: usize, i: usize) -> Vec<u8> {
+        (0..1u64 << (n - 1))
+            .map(|c| {
+                crate::link_deltas::distsum_with_row(rows, n, i, expand_mask(c, i))
+                    .map_or(UNREACHABLE, |d| u8::try_from(d).expect("sums fit a byte"))
+            })
+            .collect()
+    }
+
+    /// The pre-size-bucket fold: one i128 cross-multiplied comparison
+    /// and branch per wish set — the oracle [`best_response_interval`]
+    /// is tested against.
+    fn best_response_interval_oracle(
+        dist: &[u8],
+        keep_c: u64,
+        comp: u64,
+        k: i64,
+        d_cur: u8,
+    ) -> Option<ClosedInterval> {
+        let mut lo = (0i64, 1i64);
+        let mut hi: Option<(i64, i64)> = None;
+        let mut c = comp;
+        loop {
+            let d_s = dist[(keep_c | c) as usize];
+            if d_s != UNREACHABLE {
+                let m = i64::from(c.count_ones());
+                let diff = i64::from(d_s) - i64::from(d_cur);
+                let coeff = m - k;
+                match coeff.cmp(&0) {
+                    std::cmp::Ordering::Greater => {
+                        if i128::from(-diff) * i128::from(lo.1)
+                            > i128::from(lo.0) * i128::from(coeff)
+                        {
+                            lo = (-diff, coeff);
+                        }
+                    }
+                    std::cmp::Ordering::Less => {
+                        let cand = (diff, -coeff);
+                        if hi.is_none_or(|h| {
+                            i128::from(cand.0) * i128::from(h.1)
+                                < i128::from(h.0) * i128::from(cand.1)
+                        }) {
+                            hi = Some(cand);
+                        }
+                    }
+                    std::cmp::Ordering::Equal => {
+                        if diff < 0 {
+                            return None;
+                        }
+                    }
+                }
+            }
+            if c == 0 {
+                break;
+            }
+            c = (c - 1) & comp;
+        }
+        interval_from_bounds(lo, hi)
+    }
+
+    fn rows_of(g: &Graph) -> Vec<u64> {
+        (0..g.order()).map(|v| g.neighbor_bits(v)).collect()
+    }
+
+    fn assert_dp_table_matches_bfs(g: &Graph) {
+        let n = g.order();
+        let rows = rows_of(g);
+        let half = 1usize << (n - 1);
+        let mut lanes = vec![[0u64; 2]; half];
+        let mut dist = vec![0u8; half];
+        for i in 0..n {
+            fill_distance_table(&rows, n, i, &mut lanes, &mut dist);
+            assert_eq!(dist, bfs_distance_table(&rows, n, i), "{g:?}, vertex {i}");
+        }
+    }
+
+    #[test]
+    fn dp_distance_table_matches_bfs_oracle() {
+        for n in 1..=8 {
+            for g in bnf_enumerate::connected_graphs(n) {
+                assert_dp_table_matches_bfs(&g);
+            }
+        }
+    }
+
+    #[test]
+    fn dp_distance_table_matches_bfs_oracle_on_every_lane() {
+        // Order 16 fills all 15 lanes; the path reaches the largest
+        // distances (14 in G − i) and sums (120).
+        let n = MAX_UCG_ORDER;
+        let path = Graph::from_edges(n, (0..n - 1).map(|i| (i, i + 1))).unwrap();
+        for g in [star(n), path, cycle(n)] {
+            assert_dp_table_matches_bfs(&g);
+        }
+    }
+
+    #[test]
+    fn best_response_windows_match_per_wish_set_oracle() {
+        for n in 1..=7 {
+            for g in bnf_enumerate::connected_graphs(n) {
+                let ucg = UcgAnalyzer::new(&g).unwrap();
+                let rows = rows_of(&g);
+                let half = 1u64 << (n - 1);
+                for (i, &row) in rows.iter().enumerate() {
+                    let dist = bfs_distance_table(&rows, n, i);
+                    let d_cur = dist[compress_mask(row, i) as usize];
+                    let mut o = row;
+                    loop {
+                        let keep_c = compress_mask(row & !o, i);
+                        let comp = (half - 1) & !keep_c;
+                        let k = i64::from(o.count_ones());
+                        assert_eq!(
+                            ucg.best_response_window(i, o),
+                            best_response_interval_oracle(&dist, keep_c, comp, k, d_cur),
+                            "{g:?}, vertex {i}, owned {o:#b}"
+                        );
+                        if o == 0 {
+                            break;
+                        }
+                        o = (o - 1) & row;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn necessary_window_fold_matches_delta_calc_oracle() {
+        let graphs = (0..=6)
+            .flat_map(bnf_enumerate::all_graphs)
+            .chain(bnf_enumerate::connected_graphs(7));
+        for g in graphs {
+            assert_eq!(
+                ucg_necessary_window(&g),
+                necessary_window_oracle(&g),
+                "{g:?}"
+            );
+        }
     }
 
     #[test]

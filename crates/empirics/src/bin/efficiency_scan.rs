@@ -12,7 +12,7 @@
 
 use bnf_empirics::MinimizerShape;
 use bnf_empirics::{
-    arg_value, default_threads, efficiency_scan_windows, grid_from_args, render_table,
+    default_threads, efficiency_scan_windows, grid_from_args, order_and_threads, render_table,
     run_window_sweep_cli,
 };
 use bnf_games::Ratio;
@@ -48,10 +48,8 @@ fn minimizer_cell(minimizers: &[MinimizerShape]) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
-    let threads: usize = arg_value(&args, "--threads").map_or_else(default_threads, |v| {
-        v.parse().expect("--threads wants a number")
-    });
+    let (n, threads) = order_and_threads(&args).unwrap_or_else(|e| e.exit());
+    let threads = threads.unwrap_or_else(default_threads);
     let alphas = grid_from_args(&args, || {
         vec![
             Ratio::new(1, 4),
@@ -63,7 +61,8 @@ fn main() {
             Ratio::from(4),
             Ratio::from(8),
         ]
-    });
+    })
+    .unwrap_or_else(|e| e.exit());
     let windows = run_window_sweep_cli(n, threads, &args);
     let scan = efficiency_scan_windows(&windows, &alphas);
     let rows: Vec<Vec<String>> = scan

@@ -7,16 +7,16 @@
 //!        [--report-json PATH]
 
 use bnf_empirics::{
-    arg_flag, arg_value, fmt_stat, render_csv, render_table, run_sweep_cli, SweepConfig,
+    arg_flag, fmt_stat, order_and_threads, render_csv, render_table, run_sweep_cli, SweepConfig,
 };
 use bnf_games::GameKind;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
+    let (n, threads) = order_and_threads(&args).unwrap_or_else(|e| e.exit());
     let mut config = SweepConfig::standard(n);
-    if let Some(t) = arg_value(&args, "--threads") {
-        config.threads = t.parse().expect("--threads wants a number");
+    if let Some(t) = threads {
+        config.threads = t;
     }
     let sweep = run_sweep_cli(&config, &args);
     let bcg = sweep.stats(GameKind::Bilateral);

@@ -13,15 +13,15 @@
 //! its exhaustive half incremental too.
 
 use bnf_empirics::{
-    arg_value, fmt_stat, prop3_series, prop4_rows, render_table, run_sweep_cli, SweepConfig,
+    fmt_stat, order_and_threads, prop3_series, prop4_rows, render_table, run_sweep_cli, SweepConfig,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let n: usize = arg_value(&args, "--n").map_or(7, |v| v.parse().expect("--n wants a number"));
+    let (n, threads) = order_and_threads(&args).unwrap_or_else(|e| e.exit());
     let mut config = SweepConfig::standard(n);
-    if let Some(t) = arg_value(&args, "--threads") {
-        config.threads = t.parse().expect("--threads wants a number");
+    if let Some(t) = threads {
+        config.threads = t;
     }
     // Sweep first, so flag errors surface before any output; the
     // stdout tables still print in paper order. run_sweep_cli prints

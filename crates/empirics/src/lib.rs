@@ -110,7 +110,7 @@ pub fn run_sweep_cli(config: &SweepConfig, args: &[String]) -> SweepResult {
     let sweep = SweepArgs::parse_or_exit(config.n, args);
     // Parse the grid *before* the sweep: a typo in --grid must fail in
     // milliseconds, not after minutes of classification.
-    let alphas = grid_from_args(args, || config.alphas.clone());
+    let alphas = grid_from_args(args, || config.alphas.clone()).unwrap_or_else(|e| e.exit());
     let windows = sweep.run(config.threads);
     grid::evaluate(&windows, &alphas)
 }
@@ -119,17 +119,36 @@ pub fn run_sweep_cli(config: &SweepConfig, args: &[String]) -> SweepResult {
 /// is absent — the one shared grid-flag front-end of every sweep
 /// binary.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics (with the parse diagnostic) on a malformed spec — a CLI
-/// front-end, not a library error path.
-pub fn grid_from_args(args: &[String], default: impl FnOnce() -> Vec<Ratio>) -> Vec<Ratio> {
+/// A [`UsageError`] carrying the parse diagnostic on a malformed spec.
+pub fn grid_from_args(
+    args: &[String],
+    default: impl FnOnce() -> Vec<Ratio>,
+) -> Result<Vec<Ratio>, UsageError> {
     match arg_value(args, "--grid") {
         Some(spec) => GridSpec::parse(&spec)
-            .unwrap_or_else(|e| panic!("bad --grid: {e}"))
-            .alphas(),
-        None => default(),
+            .map(|g| g.alphas())
+            .map_err(|e| UsageError(format!("bad --grid: {e}"))),
+        None => Ok(default()),
     }
+}
+
+/// The order a sweep binary runs (`--n`, default 7) and its `--threads`
+/// override, if any.
+///
+/// # Errors
+///
+/// A [`UsageError`] when either value is not a non-negative integer.
+pub fn order_and_threads(args: &[String]) -> Result<(usize, Option<usize>), UsageError> {
+    let number = |name: &str| match arg_value(args, name) {
+        None => Ok(None),
+        Some(v) => v
+            .parse()
+            .map(Some)
+            .map_err(|_| UsageError(format!("{name} wants a number, got {v:?}"))),
+    };
+    Ok((number("--n")?.unwrap_or(7), number("--threads")?))
 }
 
 /// The windows-first half of [`run_sweep_cli`], also used directly by

@@ -76,3 +76,27 @@ fn oversized_partition_is_a_usage_error() {
     );
     assert!(stderr.contains("at most"), "{stderr}");
 }
+
+#[test]
+fn non_numeric_order_is_a_usage_error() {
+    for bin in SWEEP_BINS {
+        let stderr = usage_error(bin, &["--n", "seven"]);
+        assert!(stderr.contains("--n wants a number"), "{stderr}");
+    }
+}
+
+#[test]
+fn non_numeric_threads_is_a_usage_error() {
+    for bin in SWEEP_BINS {
+        let stderr = usage_error(bin, &["--n", "5", "--threads", "-1"]);
+        assert!(stderr.contains("--threads wants a number"), "{stderr}");
+    }
+}
+
+#[test]
+fn malformed_grid_is_a_usage_error() {
+    for bin in SWEEP_BINS {
+        let stderr = usage_error(bin, &["--n", "5", "--grid", "linear:1:2"]);
+        assert!(stderr.contains("bad --grid"), "{stderr}");
+    }
+}
