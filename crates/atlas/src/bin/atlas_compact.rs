@@ -1,19 +1,20 @@
-//! Rewrites an atlas store into a chosen format version — the v3 → v4
-//! migration tool (packed columnar blocks, 3–5× smaller) and the
-//! escape hatch back to v3 row frames for old builds.
+//! Rewrites an atlas store as a packed v4 store in global engine order
+//! — the v3 → v4 migration tool (v3 stores are read-only in this
+//! build; v4 is 3–5× smaller) and the compactor for v4 stores written
+//! in append order.
 //!
 //! Usage: `atlas_compact --atlas store.bnfatlas [--out compacted.bnfatlas]
-//! [--format 3|4] [--report-json report.json]`
+//! [--report-json report.json]`
 //!
 //! Without `--out` the store is compacted in place; either way the
 //! rewrite lands in a temporary file renamed over the destination, so
-//! an interrupted run never leaves a half-written store. `--format`
-//! defaults to the current format (v4). Records come out in global
-//! engine order `(order, edges, canonical key)` regardless of the
-//! source's append order, and coverage + shard-provenance frames are
-//! carried through unchanged, so warm replays and `--resume` gates are
-//! unaffected. A `<store>.idx` sidecar over the source is invalidated
-//! by the rewrite — rerun `atlas_index` afterwards.
+//! an interrupted run never leaves a half-written store. Records come
+//! out in global engine order `(order, edges, canonical key)`
+//! regardless of the source's append order, and coverage +
+//! shard-provenance frames are carried through unchanged, so warm
+//! replays and `--resume` gates are unaffected. A `<store>.idx` sidecar
+//! over the source is invalidated by the rewrite — rerun `atlas_index`
+//! afterwards.
 //!
 //! The run manifest (`--report-json`) carries the gated size metric
 //! `manifest/atlas_bytes_per_record/{max_order}`.
@@ -30,27 +31,26 @@ fn main() -> ExitCode {
             .and_then(|i| args.get(i + 1))
             .cloned()
     };
-    let Some(store) = flag("--atlas") else {
+    // Every flag takes a value; an unknown one (an old `--format 3`) is
+    // refused, never silently ignored into a v4 store.
+    let known = ["--atlas", "--out", "--report-json"];
+    let unknown = args
+        .iter()
+        .step_by(2)
+        .find(|a| !known.contains(&a.as_str()));
+    let (Some(store), None) = (flag("--atlas"), unknown) else {
         eprintln!(
             "usage: atlas_compact --atlas store.bnfatlas [--out compacted.bnfatlas] \
-             [--format 3|4] [--report-json report.json]"
+             [--report-json report.json] (writes format v{ATLAS_VERSION})"
         );
         return ExitCode::FAILURE;
     };
     let out = flag("--out").unwrap_or_else(|| store.clone());
-    let version = match flag("--format").map(|v| v.parse::<u32>()) {
-        None => ATLAS_VERSION,
-        Some(Ok(v)) => v,
-        Some(Err(_)) => {
-            eprintln!("--format takes an atlas version number (3 or 4)");
-            return ExitCode::FAILURE;
-        }
-    };
     let report_json = flag("--report-json");
 
     bnf_obs::Recorder::global().take();
     let started = std::time::Instant::now();
-    let summary = match compact_store(&store, &out, version) {
+    let summary = match compact_store(&store, &out, ATLAS_VERSION) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("compaction failed for {store}: {e}");

@@ -1,24 +1,25 @@
-//! Streaming store compaction: rewrite any supported atlas into a
-//! fresh store of a chosen format version — the v3 → v4 migration path
-//! (the `atlas_compact` binary) and the escape hatch back to v3 row
-//! frames for old builds.
+//! Streaming store compaction: rewrite any readable atlas — a v3 row
+//! store or a v4 store in append order — into a fresh v4 store with its
+//! records in global engine order. This is the v3 → v4 migration path
+//! (the `atlas_compact` binary): v3 stores are read-only in this build,
+//! so compaction is how an old store becomes appendable again.
 //!
-//! [`compact_store`] makes two passes, neither of which materializes
-//! the record map (the whole point at n ≥ 10, where
+//! [`compact_store`] makes two passes through the one frame reader
+//! (the private `frame` module), neither of which materializes the
+//! record map (the whole point at n ≥ 10, where
 //! [`crate::ClassificationAtlas::open`] costs ~6.5 GB resident):
 //!
-//! 1. **Scan**: stream the source frames once, keeping only a light
+//! 1. **Scan**: walk the source frames once, keeping only a light
 //!    entry per record — `(order, edges, engine sort word, frame
 //!    offset, intra-frame ordinal)`, ~32 bytes — plus the coverage and
-//!    shard-metadata frames verbatim.
+//!    shard-metadata frames.
 //! 2. **Gather + write**: sort the entries into global engine order
 //!    `(order, edges, sort word)`, then re-read each record by
 //!    positioned read (with a last-block cache, so a sequentially
-//!    written source decodes each block once) and emit it into the
-//!    target format — packed [`crate::codec`] blocks for v4, row
-//!    frames for v3. Provenance (shard metadata) and coverage frames
-//!    are copied through unchanged, so `--resume` bookkeeping and warm
-//!    replay gates survive the rewrite.
+//!    written source decodes each block once) and emit it into packed
+//!    [`crate::codec`] blocks. Provenance (shard metadata) and coverage
+//!    frames are re-encoded unchanged, in file order, so `--resume`
+//!    bookkeeping and warm replay gates survive the rewrite.
 //!
 //! The output is written to `<dst>.tmp` and atomically renamed over
 //! `dst`, so a crashed compaction never leaves a half-written store —
@@ -33,30 +34,27 @@
 //! for every enumerable order (n ≤ 11 — the packed triangle fits the
 //! sort word), the same assumption every engine-order replay rests on.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Write};
-use std::os::unix::fs::FileExt;
+use std::fs::OpenOptions;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 use bnf_core::WindowRecord;
-use bnf_graph::Graph;
 
-use crate::codec::{decode_block, BLOCK_RECORDS};
-use crate::store::{
-    encode_record, max_frame_len, read_full, AtlasError, ATLAS_MAGIC, ATLAS_VERSION,
-    FRAME_COVERAGE, FRAME_RECORD, FRAME_RECORD_BLOCK, FRAME_SHARD_META, MIN_ATLAS_VERSION,
-};
+use crate::codec::BLOCK_RECORDS;
+use crate::frame::{self, BlockCache, Frame, FrameWalker, RecordReader, ATLAS_VERSION};
+use crate::index::engine_sort_key;
+use crate::store::AtlasError;
 
 /// What [`compact_store`] wrote.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompactSummary {
     /// Output store path.
     pub path: PathBuf,
-    /// Output format version (3 or 4).
+    /// Output format version (always [`ATLAS_VERSION`]).
     pub version: u32,
     /// Records written (after identical-duplicate collapse).
     pub records: u64,
-    /// Record frames written: columnar blocks for v4, rows for v3.
+    /// Columnar block frames written.
     pub frames: u64,
     /// Source store size in bytes.
     pub input_bytes: u64,
@@ -89,16 +87,19 @@ struct CompactEntry {
     ordinal: u16,
 }
 
-/// Rewrites the store at `src` into format `target_version` at `dst`
+/// Rewrites the store at `src` into a v[`ATLAS_VERSION`] store at `dst`
 /// (`dst == src` compacts in place), returning what was written. See
 /// the module docs for the two-pass shape and the guarantees.
+/// `target_version` must be [`ATLAS_VERSION`], the only format this
+/// build writes.
 ///
 /// # Errors
 ///
 /// [`AtlasError::VersionMismatch`] for an unsupported source header or
-/// `target_version`; [`AtlasError::Corrupt`] for malformed source
-/// bytes — a torn tail counts here: recover the source first
-/// ([`crate::ClassificationAtlas::open_recovering`]), then compact;
+/// `target_version`; [`AtlasError::Torn`] for a source ending mid-frame
+/// (recover it first with
+/// [`crate::ClassificationAtlas::open_recovering`]);
+/// [`AtlasError::Corrupt`] for malformed source bytes;
 /// [`AtlasError::Io`] on filesystem failure.
 pub fn compact_store(
     src: impl AsRef<Path>,
@@ -117,76 +118,36 @@ fn compact_store_inner(
     dst: &Path,
     target_version: u32,
 ) -> Result<CompactSummary, AtlasError> {
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&target_version) {
+    if target_version != ATLAS_VERSION {
         return Err(AtlasError::VersionMismatch {
             found: target_version,
         });
     }
 
-    // Pass 1: stream the source once into light entries + carried
+    // Pass 1: walk the source once into light entries + carried
     // frames.
-    let file = File::open(src)?;
-    let input_bytes = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 12];
-    let got = read_full(&mut r, &mut header)?;
-    if got < 12 || header[..8] != ATLAS_MAGIC {
-        return Err(AtlasError::BadMagic);
-    }
-    let src_version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&src_version) {
-        return Err(AtlasError::VersionMismatch { found: src_version });
-    }
-    let frame_cap = max_frame_len(src_version);
-
+    let mut walker = FrameWalker::open_existing(src)?;
+    let input_bytes = walker.file_len();
     let mut entries: Vec<CompactEntry> = Vec::new();
-    let mut carried: Vec<Vec<u8>> = Vec::new(); // coverage + shard frames, file order
-    let mut offset = 12u64;
-    loop {
-        let mut len_buf = [0u8; 4];
-        let got = read_full(&mut r, &mut len_buf)?;
-        if got == 0 {
-            break;
-        }
-        let corrupt = |reason: String| AtlasError::Corrupt { offset, reason };
-        if got < 4 {
-            return Err(corrupt(format!(
-                "file ends {got} bytes into a frame length field — torn tail; recover the \
-                 store before compacting"
-            )));
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > frame_cap {
-            return Err(corrupt(format!(
-                "frame length {len} outside 1..={frame_cap} (the v{src_version} cap)"
-            )));
-        }
-        let mut payload = vec![0u8; len as usize];
-        let got = read_full(&mut r, &mut payload)?;
-        if got < len as usize {
-            return Err(corrupt(format!(
-                "frame of {len} bytes truncated ({got} present) — torn tail; recover the \
-                 store before compacting"
-            )));
-        }
-        match payload.first() {
-            Some(&FRAME_RECORD) => {
-                entries.push(scan_row(&payload[1..], offset).map_err(corrupt)?);
-            }
-            Some(&FRAME_RECORD_BLOCK) => {
-                if src_version < 4 {
-                    return Err(corrupt("columnar block frame (tag 4) in a v3 store".into()));
-                }
-                let records = decode_block(&payload[1..]).map_err(corrupt)?;
+    let mut carried: Vec<Vec<u8>> = Vec::new(); // coverage + shard payloads, file order
+    while let Some((offset, frame)) = walker.next_frame()? {
+        match frame {
+            Frame::Records(records) => {
                 for (ordinal, rec) in records.iter().enumerate() {
-                    entries.push(scan_decoded(rec, offset, ordinal as u16).map_err(corrupt)?);
+                    let (order, edges, sort_word) = engine_sort_key(rec)
+                        .map_err(|reason| AtlasError::Corrupt { offset, reason })?;
+                    entries.push(CompactEntry {
+                        order,
+                        edges,
+                        sort_word,
+                        offset,
+                        ordinal: ordinal as u16,
+                    });
                 }
             }
-            Some(&FRAME_COVERAGE) | Some(&FRAME_SHARD_META) => carried.push(payload),
-            Some(&t) => return Err(corrupt(format!("unknown frame tag {t}"))),
-            None => return Err(corrupt("empty frame".into())),
+            Frame::Coverage { order, count } => carried.push(frame::coverage_payload(order, count)),
+            Frame::ShardMeta(meta) => carried.push(frame::shard_meta_payload(&meta)),
         }
-        offset += 4 + u64::from(len);
     }
 
     // Global engine order; identical duplicates (same canonical graph,
@@ -211,13 +172,8 @@ fn compact_store_inner(
         name.push(".tmp");
         PathBuf::from(name)
     };
-    let source = SourceReader {
-        file: File::open(src)?,
-        frame_cap,
-        cache: None,
-    };
-    let write_result = write_target(&tmp_path, target_version, &entries, source, &carried);
-    let frames = match write_result {
+    let source = RecordReader::open(src)?;
+    let frames = match write_target(&tmp_path, &entries, &source, &carried) {
         Ok(frames) => frames,
         Err(e) => {
             let _ = std::fs::remove_file(&tmp_path);
@@ -233,7 +189,7 @@ fn compact_store_inner(
     recorder.add("compact_output_bytes", output_bytes);
     Ok(CompactSummary {
         path: dst.to_path_buf(),
-        version: target_version,
+        version: ATLAS_VERSION,
         records,
         frames,
         input_bytes,
@@ -242,13 +198,12 @@ fn compact_store_inner(
     })
 }
 
-/// Writes the full target store (header, record frames, carried
-/// frames) to `path`, durably; returns the record-frame count.
+/// Writes the full target store (header, block frames, carried frames)
+/// to `path`, durably; returns the block-frame count.
 fn write_target(
     path: &Path,
-    version: u32,
     entries: &[CompactEntry],
-    mut source: SourceReader,
+    source: &RecordReader,
     carried: &[Vec<u8>],
 ) -> Result<u64, AtlasError> {
     let f = OpenOptions::new()
@@ -257,148 +212,35 @@ fn write_target(
         .truncate(true)
         .open(path)?;
     let mut w = BufWriter::new(f);
-    w.write_all(&ATLAS_MAGIC)?;
-    w.write_all(&version.to_le_bytes())?;
+    w.write_all(&frame::header())?;
 
     let mut frames = 0u64;
-    let mut buf = Vec::new();
+    let mut cache = BlockCache::default();
     let mut payload = Vec::new();
     let mut block: Vec<WindowRecord> = Vec::new();
     for chunk in entries.chunks(BLOCK_RECORDS) {
         block.clear();
         for e in chunk {
-            block.push(source.record(e.offset, e.ordinal, &mut buf)?);
+            block.push(source.record(e.offset, e.ordinal, &mut cache)?.clone());
         }
-        if version >= 4 {
-            payload.clear();
-            payload.push(FRAME_RECORD_BLOCK);
-            let refs: Vec<&WindowRecord> = block.iter().collect();
-            crate::codec::encode_block(&refs, &mut payload);
-            w.write_all(&(payload.len() as u32).to_le_bytes())?;
-            w.write_all(&payload)?;
-            frames += 1;
-        } else {
-            for rec in &block {
-                payload.clear();
-                payload.push(FRAME_RECORD);
-                encode_record(rec, &mut payload);
-                w.write_all(&(payload.len() as u32).to_le_bytes())?;
-                w.write_all(&payload)?;
-                frames += 1;
-            }
-        }
+        let refs: Vec<&WindowRecord> = block.iter().collect();
+        frame::block_payload(&refs, &mut payload);
+        frame::write_frame(&mut w, &payload)?;
+        frames += 1;
     }
-    for frame in carried {
-        w.write_all(&(frame.len() as u32).to_le_bytes())?;
-        w.write_all(frame)?;
+    for payload in carried {
+        frame::write_frame(&mut w, payload)?;
     }
     w.flush()?;
     w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
     Ok(frames)
 }
 
-/// Positioned-read access to source records, with a one-block cache so
-/// sequential gathers over a sequentially written source decode each
-/// v4 block once.
-struct SourceReader {
-    file: File,
-    frame_cap: u32,
-    cache: Option<(u64, Vec<WindowRecord>)>,
-}
-
-impl SourceReader {
-    fn record(
-        &mut self,
-        offset: u64,
-        ordinal: u16,
-        buf: &mut Vec<u8>,
-    ) -> Result<WindowRecord, AtlasError> {
-        let corrupt = |reason: String| AtlasError::Corrupt { offset, reason };
-        if let Some((at, records)) = &self.cache {
-            if *at == offset {
-                return records
-                    .get(usize::from(ordinal))
-                    .cloned()
-                    .ok_or_else(|| corrupt(format!("ordinal {ordinal} past the cached block")));
-            }
-        }
-        let mut len_buf = [0u8; 4];
-        self.file
-            .read_exact_at(&mut len_buf, offset)
-            .map_err(|_| corrupt("source truncated at a scanned offset".into()))?;
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > self.frame_cap {
-            return Err(corrupt(format!("implausible frame length {len}")));
-        }
-        buf.resize(len as usize, 0);
-        self.file
-            .read_exact_at(buf, offset + 4)
-            .map_err(|_| corrupt(format!("source frame of {len} bytes truncated")))?;
-        match buf.first() {
-            Some(&FRAME_RECORD) if ordinal == 0 => {
-                crate::store::decode_record(&buf[1..]).map_err(corrupt)
-            }
-            Some(&FRAME_RECORD_BLOCK) => {
-                let records = decode_block(&buf[1..]).map_err(corrupt)?;
-                let rec = records
-                    .get(usize::from(ordinal))
-                    .cloned()
-                    .ok_or_else(|| corrupt(format!("ordinal {ordinal} past the block")))?;
-                self.cache = Some((offset, records));
-                Ok(rec)
-            }
-            Some(&t) => Err(corrupt(format!(
-                "scanned offset points at frame tag {t}, ordinal {ordinal}"
-            ))),
-            None => Err(corrupt("empty frame".into())),
-        }
-    }
-}
-
-/// Scan ingredients from one raw v3 row payload (after the tag byte):
-/// the row-frame analogue of [`scan_decoded`], without a full decode.
-fn scan_row(body: &[u8], offset: u64) -> Result<CompactEntry, String> {
-    if body.len() < 2 {
-        return Err("record payload too short for key length".into());
-    }
-    let key_len = u16::from_le_bytes(body[..2].try_into().expect("2 bytes")) as usize;
-    let rest = body
-        .get(2..)
-        .filter(|r| r.len() >= key_len + 6)
-        .ok_or_else(|| format!("record payload ends inside {key_len}-byte key"))?;
-    let key = std::str::from_utf8(&rest[..key_len]).map_err(|_| "key is not UTF-8".to_string())?;
-    let order = u16::from_le_bytes(rest[key_len..key_len + 2].try_into().expect("2 bytes"));
-    let edges = u64::from(u32::from_le_bytes(
-        rest[key_len + 2..key_len + 6].try_into().expect("4 bytes"),
-    ));
-    let g = Graph::from_graph6(key).map_err(|e| format!("undecodable key {key:?}: {e:?}"))?;
-    Ok(CompactEntry {
-        order,
-        edges,
-        sort_word: g.packed_self_key().prefix_word(),
-        offset,
-        ordinal: 0,
-    })
-}
-
-/// Scan ingredients from one decoded block record.
-fn scan_decoded(rec: &WindowRecord, offset: u64, ordinal: u16) -> Result<CompactEntry, String> {
-    let order = u16::try_from(rec.order).map_err(|_| format!("order {} exceeds u16", rec.order))?;
-    let g = Graph::from_graph6(&rec.key)
-        .map_err(|e| format!("undecodable key {:?}: {e:?}", rec.key))?;
-    Ok(CompactEntry {
-        order,
-        edges: rec.edges,
-        sort_word: g.packed_self_key().prefix_word(),
-        offset,
-        ordinal,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::store::ClassificationAtlas;
+    use bnf_graph::Graph;
 
     fn scratch_path(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU32, Ordering};
@@ -408,6 +250,13 @@ mod tests {
             "bnf-compact-{tag}-{}-{n}.bnfatlas",
             std::process::id()
         ))
+    }
+
+    /// A scratch copy of the v3 fixture store.
+    fn v3_copy(tag: &str) -> PathBuf {
+        let path = scratch_path(tag);
+        std::fs::copy(crate::V3_FIXTURE, &path).unwrap();
+        path
     }
 
     /// All 6 connected topologies on 4 vertices, classified.
@@ -429,65 +278,62 @@ mod tests {
         .collect()
     }
 
-    fn build_store(path: &Path, version: u32) -> Vec<WindowRecord> {
-        let records = n4_records();
-        let mut atlas = ClassificationAtlas::open_with_version(path, version).unwrap();
-        // Two batches so a v3 source is not already in engine order.
-        atlas.append_records(records.iter().rev().take(3)).unwrap();
-        atlas.append_records(records.iter()).unwrap();
-        atlas.mark_complete(4, records.len()).unwrap();
-        records
-    }
-
     #[test]
     fn v3_to_v4_preserves_catalogue_coverage_and_replay() {
-        let src = scratch_path("v3src");
+        let src = v3_copy("v3src");
         let dst = scratch_path("v4dst");
-        let records = build_store(&src, 3);
         let reference = ClassificationAtlas::open(&src).unwrap();
-        let ref_sweep = reference.complete_sweep(4).unwrap();
+        let ref_sweep = reference.complete_sweep(6).unwrap();
 
         let summary = compact_store(&src, &dst, 4).unwrap();
         assert_eq!(summary.version, 4);
-        assert_eq!(summary.records, records.len() as u64);
-        assert_eq!(summary.frames, 1, "6 records fit one block");
-        assert_eq!(summary.max_order, 4);
+        assert_eq!(summary.records, 112);
+        assert_eq!(summary.frames, 1, "112 records fit one block");
+        assert_eq!(summary.max_order, 6);
 
         let compacted = ClassificationAtlas::open(&dst).unwrap();
         assert_eq!(compacted.version(), 4);
-        assert_eq!(compacted.len(), records.len());
-        assert_eq!(compacted.coverage(4), reference.coverage(4));
-        assert_eq!(compacted.complete_sweep(4).unwrap(), ref_sweep);
-        assert_eq!(compacted.shard_metas().len(), reference.shard_metas().len());
+        assert_eq!(compacted.len(), 112);
+        assert_eq!(compacted.coverage(6), reference.coverage(6));
+        assert_eq!(compacted.complete_sweep(6).unwrap(), ref_sweep);
+        assert_eq!(compacted.shard_metas(), reference.shard_metas());
         std::fs::remove_file(&src).ok();
         std::fs::remove_file(&dst).ok();
     }
 
     #[test]
-    fn v4_to_v3_round_trips_for_old_builds() {
+    fn v4_append_order_store_compacts_into_engine_order() {
         let src = scratch_path("v4src");
-        let dst = scratch_path("v3dst");
-        build_store(&src, 4);
+        let dst = scratch_path("v4dst");
+        let records = n4_records();
+        {
+            let mut atlas = ClassificationAtlas::open(&src).unwrap();
+            // Two batches, the first reversed, so the source is in
+            // neither engine nor key order.
+            atlas.append_records(records.iter().rev().take(3)).unwrap();
+            atlas.append_records(records.iter()).unwrap();
+            atlas.mark_complete(4, records.len()).unwrap();
+        }
         let reference = ClassificationAtlas::open(&src).unwrap().complete_sweep(4);
 
-        let summary = compact_store(&src, &dst, 3).unwrap();
-        assert_eq!(summary.version, 3);
-        assert_eq!(summary.frames, summary.records, "one row frame each");
-        let bytes = std::fs::read(&dst).unwrap();
-        assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
-
-        let back = ClassificationAtlas::open(&dst).unwrap();
-        assert_eq!(back.version(), 3);
-        assert_eq!(back.complete_sweep(4), reference);
-        std::fs::remove_file(&src).ok();
-        std::fs::remove_file(&dst).ok();
+        let summary = compact_store(&src, &dst, ATLAS_VERSION).unwrap();
+        assert_eq!(summary.records, records.len() as u64);
+        assert_eq!(summary.frames, 1);
+        let compacted = ClassificationAtlas::open(&dst).unwrap();
+        assert_eq!(compacted.complete_sweep(4), reference);
+        // Compacting a compacted store is the identity.
+        let again = scratch_path("v4again");
+        compact_store(&dst, &again, ATLAS_VERSION).unwrap();
+        assert_eq!(std::fs::read(&again).unwrap(), std::fs::read(&dst).unwrap());
+        for p in [&src, &dst, &again] {
+            std::fs::remove_file(p).ok();
+        }
     }
 
     #[test]
     fn in_place_compaction_is_atomic_and_lossless() {
-        let path = scratch_path("inplace");
-        build_store(&path, 3);
-        let reference = ClassificationAtlas::open(&path).unwrap().complete_sweep(4);
+        let path = v3_copy("inplace");
+        let reference = ClassificationAtlas::open(&path).unwrap().complete_sweep(6);
         let before = std::fs::metadata(&path).unwrap().len();
 
         let summary = compact_store(&path, &path, 4).unwrap();
@@ -500,29 +346,26 @@ mod tests {
 
         let compacted = ClassificationAtlas::open(&path).unwrap();
         assert_eq!(compacted.version(), 4);
-        assert_eq!(compacted.complete_sweep(4), reference);
+        assert_eq!(compacted.complete_sweep(6), reference);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn compacted_store_serves_through_the_mapped_seam() {
-        let src = scratch_path("mapsrc");
+        let src = v3_copy("mapsrc");
         let dst = scratch_path("mapdst");
-        let records = build_store(&src, 3);
-        let expected = ClassificationAtlas::open(&src)
-            .unwrap()
-            .complete_sweep(4)
-            .unwrap();
+        let reference = ClassificationAtlas::open(&src).unwrap();
+        let expected = reference.complete_sweep(6).unwrap();
         compact_store(&src, &dst, 4).unwrap();
         crate::build_index(&dst).unwrap();
         let mapped = crate::MappedAtlas::open(&dst).unwrap();
         assert_eq!(mapped.version(), 4);
-        for rec in &records {
+        for rec in reference.iter() {
             assert_eq!(mapped.lookup(&rec.key).unwrap().as_ref(), Some(rec));
         }
         let mut streamed = Vec::new();
         assert_eq!(
-            mapped.stream_sweep(4, |r| streamed.push(r)).unwrap(),
+            mapped.stream_sweep(6, |r| streamed.push(r)).unwrap(),
             Some(expected.len() as u64)
         );
         assert_eq!(streamed, expected);
@@ -533,9 +376,11 @@ mod tests {
 
     #[test]
     fn empty_store_compacts_to_an_empty_store() {
+        // The v3 fixture's header alone is an empty v3 store.
         let src = scratch_path("emptysrc");
         let dst = scratch_path("emptydst");
-        let _ = ClassificationAtlas::open_with_version(&src, 3).unwrap();
+        let header = std::fs::read(crate::V3_FIXTURE).unwrap();
+        std::fs::write(&src, &header[..12]).unwrap();
         let summary = compact_store(&src, &dst, 4).unwrap();
         assert_eq!(summary.records, 0);
         assert_eq!(summary.bytes_per_record(), None);
@@ -548,10 +393,13 @@ mod tests {
     fn unsupported_target_version_is_rejected() {
         let src = scratch_path("badver");
         let _ = ClassificationAtlas::open(&src).unwrap();
-        assert!(matches!(
-            compact_store(&src, &src, 2),
-            Err(AtlasError::VersionMismatch { found: 2 })
-        ));
+        // v4 is the only format written: v3 and anything else refuse.
+        for target in [2, 3, 5] {
+            assert!(matches!(
+                compact_store(&src, &src, target),
+                Err(AtlasError::VersionMismatch { found }) if found == target
+            ));
+        }
         std::fs::remove_file(&src).ok();
     }
 }

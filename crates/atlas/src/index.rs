@@ -4,9 +4,10 @@
 //! The store itself is append-only frames with no random-access
 //! structure — [`crate::ClassificationAtlas::open`] replays it front to
 //! back into a `HashMap`, which costs ~6.5 GB resident at n = 10.
-//! [`build_index`] scans the store *once*, streaming frame by frame
-//! without materializing any [`bnf_core::WindowRecord`], and writes a
-//! `<store>.idx` sidecar holding
+//! [`build_index`] walks the store *once* through the one frame reader
+//! (the private `frame` module, so it gives the same clean / torn /
+//! corrupt verdict as every other reader), with at most one decoded
+//! frame resident, and writes a `<store>.idx` sidecar holding
 //!
 //! * a **sorted key table** mapping canonical graph6 key → record
 //!   location, so [`crate::MappedAtlas::lookup`] is a binary search of
@@ -30,15 +31,14 @@
 //! invalidation rules.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
+use bnf_core::WindowRecord;
 use bnf_graph::Graph;
 
-use crate::store::{
-    ATLAS_MAGIC, ATLAS_VERSION, FRAME_COVERAGE, FRAME_RECORD, FRAME_RECORD_BLOCK, FRAME_SHARD_META,
-    MIN_ATLAS_VERSION,
-};
+use crate::frame::{Frame, FrameWalker, ATLAS_VERSION, MIN_ATLAS_VERSION};
+use crate::store::AtlasError;
 
 /// Leading magic bytes of an index sidecar file.
 pub const INDEX_MAGIC: [u8; 8] = *b"BNFATIDX";
@@ -94,8 +94,18 @@ pub enum IndexError {
         /// Human-readable diagnosis.
         reason: String,
     },
-    /// The underlying store failed to open or scan
-    /// ([`crate::AtlasError`] rendered to text to keep this enum flat).
+    /// The store ends inside the frame at `offset` — the same verdict
+    /// as [`crate::AtlasError::Torn`]: recover the store first
+    /// ([`crate::ClassificationAtlas::open_recovering`]), then index.
+    Torn {
+        /// Byte offset of the torn frame: the clean prefix length.
+        offset: u64,
+        /// Human-readable diagnosis.
+        reason: String,
+    },
+    /// The underlying store is not an atlas, or failed in a way that
+    /// has no variant of its own here ([`crate::AtlasError`] rendered
+    /// to text to keep this enum flat).
     Store {
         /// Human-readable store-level diagnosis.
         reason: String,
@@ -123,6 +133,9 @@ impl std::fmt::Display for IndexError {
             IndexError::Corrupt { offset, reason } => {
                 write!(f, "corrupt index data at byte {offset}: {reason}")
             }
+            IndexError::Torn { offset, reason } => {
+                write!(f, "torn atlas tail at byte {offset}: {reason}")
+            }
             IndexError::Store { reason } => write!(f, "index build failed on store: {reason}"),
         }
     }
@@ -140,6 +153,22 @@ impl std::error::Error for IndexError {
 impl From<std::io::Error> for IndexError {
     fn from(e: std::io::Error) -> Self {
         IndexError::Io(e)
+    }
+}
+
+/// A store-side failure seen through the index: the frame reader's
+/// verdicts keep their offsets and their torn/corrupt distinction.
+impl From<AtlasError> for IndexError {
+    fn from(e: AtlasError) -> Self {
+        match e {
+            AtlasError::Io(e) => IndexError::Io(e),
+            AtlasError::VersionMismatch { found } => IndexError::AtlasVersionMismatch { found },
+            AtlasError::Corrupt { offset, reason } => IndexError::Corrupt { offset, reason },
+            AtlasError::Torn { offset, reason } => IndexError::Torn { offset, reason },
+            other => IndexError::Store {
+                reason: other.to_string(),
+            },
+        }
     }
 }
 
@@ -208,73 +237,22 @@ pub fn build_index(store: impl AsRef<Path>) -> Result<IndexSummary, IndexError> 
 type SweepAccum = (u16, u64, Vec<(u64, u16)>);
 
 fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
-    let file = File::open(store)?;
-    let store_len = file.metadata()?.len();
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 12];
-    r.read_exact(&mut header).map_err(|_| IndexError::Store {
-        reason: "store too short for its header".into(),
-    })?;
-    if header[..8] != ATLAS_MAGIC {
-        return Err(IndexError::Store {
-            reason: "not an atlas file (bad magic)".into(),
-        });
-    }
-    let found = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&found) {
-        return Err(IndexError::AtlasVersionMismatch { found });
-    }
-
+    let mut walker = FrameWalker::open_existing(store)?;
+    let found = walker.version();
+    let store_len = walker.file_len();
     let mut arena: Vec<u8> = Vec::new();
     let mut entries: Vec<ScanEntry> = Vec::new();
-    let mut coverage: Vec<(u16, u64)> = Vec::new();
-    let mut offset = 12u64;
-    loop {
-        let mut len_buf = [0u8; 4];
-        match r.read_exact(&mut len_buf) {
-            Ok(()) => {}
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => break,
-            Err(e) => return Err(e.into()),
+    while let Some((offset, frame)) = walker.next_frame()? {
+        // One frame's records are resident transiently; only the scan
+        // ingredients survive.
+        let Frame::Records(records) = frame else {
+            continue; // coverage is read off the walker; provenance is not indexed
+        };
+        for (ordinal, rec) in records.iter().enumerate() {
+            let entry = scan_entry(rec, offset, ordinal as u16, &mut arena)
+                .map_err(|reason| IndexError::Corrupt { offset, reason })?;
+            entries.push(entry);
         }
-        let len = u32::from_le_bytes(len_buf) as usize;
-        let mut payload = vec![0u8; len];
-        r.read_exact(&mut payload)
-            .map_err(|_| IndexError::Corrupt {
-                offset,
-                reason: format!("store frame of {len} bytes truncated"),
-            })?;
-        let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-        match payload.first() {
-            Some(&FRAME_RECORD) => {
-                let entry = scan_record(&payload[1..], offset, &mut arena).map_err(&corrupt)?;
-                entries.push(entry);
-            }
-            Some(&FRAME_RECORD_BLOCK) => {
-                if found < 4 {
-                    return Err(corrupt("columnar block frame (tag 4) in a v3 store".into()));
-                }
-                // One block decode materializes ≤ 4096 records
-                // transiently; only the scan ingredients survive.
-                let records = crate::codec::decode_block(&payload[1..]).map_err(&corrupt)?;
-                for (ordinal, rec) in records.iter().enumerate() {
-                    entries.push(
-                        scan_block_record(rec, offset, ordinal, &mut arena).map_err(&corrupt)?,
-                    );
-                }
-            }
-            Some(&FRAME_COVERAGE) => {
-                if payload.len() != 11 {
-                    return Err(corrupt("coverage frame is not 11 bytes".into()));
-                }
-                let order = u16::from_le_bytes(payload[1..3].try_into().expect("2 bytes"));
-                let count = u64::from_le_bytes(payload[3..11].try_into().expect("8 bytes"));
-                coverage.push((order, count));
-            }
-            Some(&FRAME_SHARD_META) => {} // provenance only; nothing to index
-            Some(&t) => return Err(corrupt(format!("unknown frame tag {t}"))),
-            None => return Err(corrupt("empty frame".into())),
-        }
-        offset += 4 + len as u64;
     }
 
     // The store enforces key uniqueness on append, so duplicates can
@@ -298,8 +276,8 @@ fn build_index_inner(store: &Path) -> Result<IndexSummary, IndexError> {
         }
     });
 
+    let mut coverage = walker.coverage().to_vec();
     coverage.sort_unstable();
-    coverage.dedup();
     let mut sweeps: Vec<SweepAccum> = Vec::new();
     for &(order, declared) in &coverage {
         let mut tagged: Vec<(u64, u64, u64, u16)> = entries
@@ -383,69 +361,39 @@ fn key_of<'a>(arena: &'a [u8], e: &ScanEntry) -> &'a [u8] {
     &arena[e.key_pos as usize..e.key_pos as usize + e.key_len as usize]
 }
 
-/// Extracts the index ingredients from one record payload (after the
-/// tag byte) without decoding the full record: key, order, edge count,
-/// and the engine sort word recovered via [`Graph::packed_self_key`].
-fn scan_record(body: &[u8], offset: u64, arena: &mut Vec<u8>) -> Result<ScanEntry, String> {
-    if body.len() < 2 {
-        return Err("record payload too short for key length".into());
-    }
-    let key_len = u16::from_le_bytes(body[..2].try_into().expect("2 bytes")) as usize;
-    let rest = body
-        .get(2..)
-        .filter(|r| r.len() >= key_len + 8)
-        .ok_or_else(|| format!("record payload ends inside {key_len}-byte key"))?;
-    let key = std::str::from_utf8(&rest[..key_len]).map_err(|_| "key is not UTF-8".to_string())?;
-    if key_len > u8::MAX as usize {
-        return Err(format!("key of {key_len} bytes exceeds the index limit"));
-    }
-    let order = u16::from_le_bytes(rest[key_len..key_len + 2].try_into().expect("2 bytes"));
-    let edges = u64::from(u32::from_le_bytes(
-        rest[key_len + 2..key_len + 6].try_into().expect("4 bytes"),
-    ));
-    let g = Graph::from_graph6(key).map_err(|e| format!("undecodable key {key:?}: {e:?}"))?;
-    let key_pos = arena.len() as u32;
-    arena.extend_from_slice(key.as_bytes());
-    Ok(ScanEntry {
-        key_pos,
-        key_len: key_len as u8,
-        order,
-        offset,
-        ordinal: 0,
-        edges,
-        sort_word: g.packed_self_key().prefix_word(),
-    })
+/// The engine replay sort key of a record: `(order, edges, sort
+/// word)`, the word recovered from the canonical key via
+/// [`Graph::packed_self_key`] — the order [`build_index`]'s sweep
+/// tables and `compact_store` put records in.
+pub(crate) fn engine_sort_key(rec: &WindowRecord) -> Result<(u16, u64, u64), String> {
+    let order = u16::try_from(rec.order).map_err(|_| format!("order {} exceeds u16", rec.order))?;
+    let g = Graph::from_graph6(&rec.key)
+        .map_err(|e| format!("undecodable key {:?}: {e:?}", rec.key))?;
+    Ok((order, rec.edges, g.packed_self_key().prefix_word()))
 }
 
-/// The [`scan_record`] counterpart for one record of a decoded v4
-/// block: same arena discipline and sort ingredients, plus the
-/// intra-block ordinal.
-fn scan_block_record(
-    rec: &bnf_core::WindowRecord,
+/// The index ingredients of one record at `(offset, ordinal)`, its key
+/// copied into the shared arena.
+fn scan_entry(
+    rec: &WindowRecord,
     offset: u64,
-    ordinal: usize,
+    ordinal: u16,
     arena: &mut Vec<u8>,
 ) -> Result<ScanEntry, String> {
-    let key = rec.key.as_str();
-    if key.len() > u8::MAX as usize {
-        return Err(format!(
-            "key of {} bytes exceeds the index limit",
-            key.len()
-        ));
-    }
-    let ordinal = u16::try_from(ordinal).map_err(|_| "block ordinal exceeds u16".to_string())?;
-    let order = u16::try_from(rec.order).map_err(|_| format!("order {} exceeds u16", rec.order))?;
-    let g = Graph::from_graph6(key).map_err(|e| format!("undecodable key {key:?}: {e:?}"))?;
+    let key = rec.key.as_bytes();
+    let key_len = u8::try_from(key.len())
+        .map_err(|_| format!("key of {} bytes exceeds the index limit", key.len()))?;
+    let (order, edges, sort_word) = engine_sort_key(rec)?;
     let key_pos = arena.len() as u32;
-    arena.extend_from_slice(key.as_bytes());
+    arena.extend_from_slice(key);
     Ok(ScanEntry {
         key_pos,
-        key_len: key.len() as u8,
+        key_len,
         order,
         offset,
         ordinal,
-        edges: rec.edges,
-        sort_word: g.packed_self_key().prefix_word(),
+        edges,
+        sort_word,
     })
 }
 
@@ -499,6 +447,46 @@ mod tests {
         assert!(summary.sweeps.is_empty());
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&summary.path).unwrap();
+    }
+
+    #[test]
+    fn torn_tail_is_refused_at_the_clean_prefix() {
+        let path = scratch_path("torn");
+        {
+            let mut atlas = ClassificationAtlas::open(&path).unwrap();
+            atlas.append_records([&classified("D?{")]).unwrap();
+        }
+        let clean = std::fs::metadata(&path).unwrap().len();
+        // Two bytes of a next frame's length field: a torn tail, not a
+        // clean end (the store must not be indexed as complete).
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&[1, 2]);
+        std::fs::write(&path, &bytes).unwrap();
+        match build_index(&path) {
+            Err(IndexError::Torn { offset, .. }) => assert_eq!(offset, clean),
+            other => panic!("expected Torn at {clean}, got {other:?}"),
+        }
+        assert!(!index_path(&path).exists(), "no sidecar over a torn store");
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn frame_length_over_the_cap_is_corrupt() {
+        let path = scratch_path("hugelen");
+        let _ = ClassificationAtlas::open(&path).unwrap();
+        let cap = crate::MAX_BLOCK_FRAME_LEN;
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(&(cap + 1).to_le_bytes());
+        bytes.extend_from_slice(&[0u8; 16]);
+        std::fs::write(&path, &bytes).unwrap();
+        match build_index(&path) {
+            Err(IndexError::Corrupt { offset: 12, reason }) => {
+                assert!(reason.contains(&cap.to_string()), "cap not named: {reason}");
+                assert!(reason.contains(&(cap + 1).to_string()), "{reason}");
+            }
+            other => panic!("expected Corrupt at 12, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

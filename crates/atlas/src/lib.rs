@@ -25,6 +25,13 @@
 //!   reads and warm sweeps stream in engine order with one record
 //!   resident at a time. This is what `bnf-serve` serves from.
 //!
+//! Both, and [`compact_store`] and [`build_index`], parse the store
+//! through one private frame reader, so they agree on every byte: a
+//! store is clean, torn at a recoverable offset ([`AtlasError::Torn`])
+//! or corrupt ([`AtlasError::Corrupt`]). Every store this crate writes
+//! is v[`ATLAS_VERSION`]; older v3 stores are read-only and migrate
+//! with [`compact_store`] (the `atlas_compact` binary).
+//!
 //! See `docs/ATLAS_FORMAT.md` for the byte-level store and sidecar
 //! formats and the compatibility/invalidation rules.
 //!
@@ -54,6 +61,7 @@
 pub mod codec;
 pub mod compact;
 pub mod families;
+mod frame;
 pub mod index;
 pub mod lcf;
 pub mod mapped;
@@ -68,6 +76,10 @@ pub use families::{
     circulant, complete, complete_bipartite, complete_multipartite, cycle, grid, hypercube, path,
     star, wheel,
 };
+pub use frame::{
+    max_frame_len, ATLAS_MAGIC, ATLAS_VERSION, MAX_BLOCK_FRAME_LEN, MAX_FRAME_LEN,
+    MIN_ATLAS_VERSION,
+};
 pub use index::{build_index, index_path, IndexError, IndexSummary, INDEX_MAGIC, INDEX_VERSION};
 pub use lcf::{lcf, try_lcf};
 pub use mapped::MappedAtlas;
@@ -75,7 +87,12 @@ pub use merge::{
     merge_segments, merge_segments_recovering, render_shard_report, MergeReport, SegmentError,
 };
 pub use store::{
-    default_new_version, max_frame_len, AtlasError, ClassificationAtlas, MergeOutcome,
-    RecoveredAtlas, RecoveryReport, ShardCoverage, ShardMeta, ATLAS_MAGIC, ATLAS_VERSION,
-    MAX_BLOCK_FRAME_LEN, MAX_FRAME_LEN, MIN_ATLAS_VERSION,
+    AtlasError, ClassificationAtlas, MergeOutcome, RecoveredAtlas, RecoveryReport, ShardCoverage,
+    ShardMeta,
 };
+
+/// A v3 row store written by the last v3-writing build: the n = 6
+/// catalogue (112 records) plus its shard-metadata and coverage frames.
+#[cfg(test)]
+pub(crate) const V3_FIXTURE: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/v3-n6.bnfatlas");

@@ -11,9 +11,12 @@
 //! decodes one record at a time — the warm-sweep path that replaces
 //! the 6.5 GB n = 10 replay.
 //!
-//! Positioned reads leave no shared cursor, so one `MappedAtlas` is
-//! usable from many threads through a shared reference — `bnf-serve`
-//! keeps a single instance behind an `Arc` for its whole worker pool.
+//! Store records are read through the one frame reader (the private
+//! `frame` module's positioned reader), with a block cache local to
+//! each call. Positioned reads leave no shared cursor, so one
+//! `MappedAtlas` is usable from many threads through a shared
+//! reference — `bnf-serve` keeps a single instance behind an `Arc` for
+//! its whole worker pool.
 
 use std::fs::File;
 use std::os::unix::fs::FileExt;
@@ -21,12 +24,8 @@ use std::path::{Path, PathBuf};
 
 use bnf_core::WindowRecord;
 
-use crate::codec::decode_block;
+use crate::frame::{BlockCache, RecordReader};
 use crate::index::{index_path, IndexError, INDEX_HEADER_LEN, INDEX_MAGIC, INDEX_VERSION};
-use crate::store::{
-    decode_record, max_frame_len, ATLAS_MAGIC, ATLAS_VERSION, FRAME_RECORD, FRAME_RECORD_BLOCK,
-    MIN_ATLAS_VERSION,
-};
 
 /// One engine-order table in the sidecar: where its locations start
 /// and how many records it covers.
@@ -52,10 +51,8 @@ struct SweepTable {
 #[derive(Debug)]
 pub struct MappedAtlas {
     store_path: PathBuf,
-    store: File,
+    store: RecordReader,
     index: File,
-    /// Store format version (3 or 4), from the store header.
-    version: u32,
     entries: u64,
     key_width: u16,
     sweeps: Vec<SweepTable>,
@@ -75,24 +72,8 @@ impl MappedAtlas {
     /// sidecar).
     pub fn open(path: impl AsRef<Path>) -> Result<MappedAtlas, IndexError> {
         let store_path = path.as_ref().to_path_buf();
-        let store = File::open(&store_path)?;
-        let mut header = [0u8; 12];
-        store
-            .read_exact_at(&mut header, 0)
-            .map_err(|_| IndexError::Store {
-                reason: "store too short for its header".into(),
-            })?;
-        if header[..8] != ATLAS_MAGIC {
-            return Err(IndexError::Store {
-                reason: "not an atlas file (bad magic)".into(),
-            });
-        }
-        let store_version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-        if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&store_version) {
-            return Err(IndexError::AtlasVersionMismatch {
-                found: store_version,
-            });
-        }
+        let store = RecordReader::open(&store_path)?;
+        let store_version = store.version();
 
         let index = File::open(index_path(&store_path))?;
         let index_len = index.metadata()?.len();
@@ -120,7 +101,7 @@ impl MappedAtlas {
             });
         }
         let indexed = u64::from_le_bytes(head[16..24].try_into().expect("8 bytes"));
-        let actual = store.metadata()?.len();
+        let actual = store.len()?;
         if indexed != actual {
             return Err(IndexError::Stale { indexed, actual });
         }
@@ -188,7 +169,6 @@ impl MappedAtlas {
             store_path,
             store,
             index,
-            version: store_version,
             entries,
             key_width,
             sweeps,
@@ -197,7 +177,7 @@ impl MappedAtlas {
 
     /// The store's format version (3 or 4), from its header.
     pub fn version(&self) -> u32 {
-        self.version
+        self.store.version()
     }
 
     /// Number of indexed record keys.
@@ -293,31 +273,19 @@ impl MappedAtlas {
     /// [`IndexError::Corrupt`] when the sidecar or the record frame it
     /// points at is malformed, [`IndexError::Io`] on read failure.
     pub fn lookup(&self, key: &str) -> Result<Option<WindowRecord>, IndexError> {
-        let mut buf = Vec::new();
-        self.lookup_with(key, &mut buf)
-    }
-
-    /// [`MappedAtlas::lookup`] with a caller-owned scratch buffer, so
-    /// a request loop reuses one allocation across lookups.
-    pub fn lookup_with(
-        &self,
-        key: &str,
-        buf: &mut Vec<u8>,
-    ) -> Result<Option<WindowRecord>, IndexError> {
         if key.len() > self.key_width as usize {
             return Ok(None); // longer than every stored key
         }
+        let mut buf = Vec::new();
         let mut lo = 0u64;
         let mut hi = self.entries;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            let (offset, ordinal) = self.entry_at(mid, buf)?;
+            let (offset, ordinal) = self.entry_at(mid, &mut buf)?;
             match buf.as_slice().cmp(key.as_bytes()) {
                 std::cmp::Ordering::Less => lo = mid + 1,
                 std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => {
-                    return self.record_at_location(offset, ordinal, buf).map(Some)
-                }
+                std::cmp::Ordering::Equal => return self.record(offset, ordinal).map(Some),
             }
         }
         Ok(None)
@@ -351,8 +319,7 @@ impl MappedAtlas {
             })?;
         let offset = u64::from_le_bytes(loc_buf[..8].try_into().expect("8 bytes"));
         let ordinal = u16::from_le_bytes(loc_buf[8..10].try_into().expect("2 bytes"));
-        let mut buf = Vec::new();
-        self.record_at_location(offset, ordinal, &mut buf).map(Some)
+        self.record(offset, ordinal).map(Some)
     }
 
     /// Streams `order`'s catalogue in engine enumeration order, calling
@@ -382,103 +349,25 @@ impl MappedAtlas {
                 offset: table.locations_at,
                 reason: "sidecar truncated inside a sweep table".into(),
             })?;
-        let mut buf = Vec::new();
         // Call-local block cache: consecutive locations usually hit the
         // same v4 block, so a sequentially written store decodes each
         // block once. Call-local (not a field) keeps `&self` methods
         // free of interior mutability — one MappedAtlas stays shareable
         // across threads.
-        let mut cached: Option<(u64, Vec<WindowRecord>)> = None;
+        let mut cache = BlockCache::default();
         for chunk in locations.chunks_exact(10) {
             let offset = u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes"));
             let ordinal = u16::from_le_bytes(chunk[8..10].try_into().expect("2 bytes"));
-            let cache_hit = cached.as_ref().is_some_and(|(at, _)| *at == offset);
-            if !cache_hit {
-                let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-                self.read_frame(offset, &mut buf)?;
-                match buf[0] {
-                    FRAME_RECORD => {
-                        if ordinal != 0 {
-                            return Err(corrupt(format!("ordinal {ordinal} into a row frame")));
-                        }
-                        f(decode_record(&buf[1..]).map_err(corrupt)?);
-                        continue;
-                    }
-                    FRAME_RECORD_BLOCK => {
-                        cached = Some((offset, decode_block(&buf[1..]).map_err(corrupt)?));
-                    }
-                    t => {
-                        return Err(corrupt(format!(
-                            "indexed offset points at frame tag {t}, not a record"
-                        )))
-                    }
-                }
-            }
-            let (_, records) = cached.as_ref().expect("cache just filled");
-            let rec = records
-                .get(usize::from(ordinal))
-                .ok_or(IndexError::Corrupt {
-                    offset,
-                    reason: format!("ordinal {ordinal} past a {}-record block", records.len()),
-                })?;
-            f(rec.clone());
+            f(self.store.record(offset, ordinal, &mut cache)?.clone());
         }
         Ok(Some(table.count))
     }
 
-    /// Reads the frame at store byte `offset` (tag + body) into `buf`.
-    fn read_frame(&self, offset: u64, buf: &mut Vec<u8>) -> Result<(), IndexError> {
-        let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-        let mut len_buf = [0u8; 4];
-        self.store
-            .read_exact_at(&mut len_buf, offset)
-            .map_err(|_| corrupt("store truncated at an indexed offset".into()))?;
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > max_frame_len(self.version) {
-            return Err(corrupt(format!(
-                "implausible frame length {len} (the v{} cap is {})",
-                self.version,
-                max_frame_len(self.version)
-            )));
-        }
-        buf.resize(len as usize, 0);
-        self.store
-            .read_exact_at(buf, offset + 4)
-            .map_err(|_| corrupt(format!("record frame of {len} bytes truncated")))
-    }
-
-    /// Reads and decodes the record at `(offset, ordinal)`: a row frame
-    /// decodes directly (ordinal must be 0), a v4 block frame is
-    /// decoded whole and indexed by ordinal.
-    fn record_at_location(
-        &self,
-        offset: u64,
-        ordinal: u16,
-        buf: &mut Vec<u8>,
-    ) -> Result<WindowRecord, IndexError> {
-        let corrupt = |reason: String| IndexError::Corrupt { offset, reason };
-        self.read_frame(offset, buf)?;
-        match buf[0] {
-            FRAME_RECORD => {
-                if ordinal != 0 {
-                    return Err(corrupt(format!("ordinal {ordinal} into a row frame")));
-                }
-                decode_record(&buf[1..]).map_err(corrupt)
-            }
-            FRAME_RECORD_BLOCK => {
-                let mut records = decode_block(&buf[1..]).map_err(corrupt)?;
-                let len = records.len();
-                if usize::from(ordinal) >= len {
-                    return Err(corrupt(format!(
-                        "ordinal {ordinal} past a {len}-record block"
-                    )));
-                }
-                Ok(records.swap_remove(usize::from(ordinal)))
-            }
-            t => Err(corrupt(format!(
-                "indexed offset points at frame tag {t}, not a record"
-            ))),
-        }
+    /// The record at one `(frame offset, intra-frame ordinal)` location,
+    /// decoding its frame once.
+    fn record(&self, offset: u64, ordinal: u16) -> Result<WindowRecord, IndexError> {
+        let mut cache = BlockCache::default();
+        Ok(self.store.record(offset, ordinal, &mut cache)?.clone())
     }
 }
 
@@ -645,32 +534,25 @@ mod tests {
     #[test]
     fn v3_row_stores_read_through_the_same_seam() {
         let path = scratch_path("v3row");
-        let mut scratch = bnf_graph::BfsScratch::new();
-        let recs: Vec<_> = n4_catalogue()
-            .iter()
-            .map(|g| bnf_core::WindowRecord::classify(g, &mut scratch))
-            .collect();
-        {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, 3).unwrap();
-            atlas.append_records(recs.iter()).unwrap();
-            atlas.mark_complete(4, 6).unwrap();
-        }
+        std::fs::copy(crate::V3_FIXTURE, &path).unwrap();
         build_index(&path).unwrap();
-        let expected = ClassificationAtlas::open(&path)
-            .unwrap()
-            .complete_sweep(4)
-            .unwrap();
+        let atlas = ClassificationAtlas::open(&path).unwrap();
+        let expected = atlas.complete_sweep(6).unwrap();
         let mapped = MappedAtlas::open(&path).unwrap();
         assert_eq!(mapped.version(), 3);
-        for rec in &recs {
+        assert_eq!(mapped.len(), 112);
+        for rec in atlas.iter() {
             assert_eq!(mapped.lookup(&rec.key).unwrap().as_ref(), Some(rec));
         }
         let mut streamed = Vec::new();
         assert_eq!(
-            mapped.stream_sweep(4, |r| streamed.push(r)).unwrap(),
-            Some(6)
+            mapped.stream_sweep(6, |r| streamed.push(r)).unwrap(),
+            Some(112)
         );
         assert_eq!(streamed, expected);
+        for (i, want) in expected.iter().enumerate().step_by(17) {
+            assert_eq!(mapped.record_at(6, i as u64).unwrap().as_ref(), Some(want));
+        }
         cleanup(&path);
     }
 }

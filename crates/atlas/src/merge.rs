@@ -16,10 +16,11 @@
 //! declared on whichever merge completes a partition.
 //!
 //! Segments may mix store format versions freely (v3 row frames and v4
-//! columnar blocks, mid-migration fleets produce both): each segment
-//! replays through its own version's decoder and the conflict
-//! semantics above apply to the decoded records, not the bytes. The
-//! output store keeps whatever version it was opened with.
+//! columnar blocks, mid-migration fleets hold both): every segment
+//! replays through the one frame reader and the conflict semantics
+//! above apply to the decoded records, not the bytes. The output store
+//! must be v4 — a v3 output is read-only and refuses the first append
+//! with [`AtlasError::ReadOnly`].
 //!
 //! The in-process orchestrator (`--shards auto` on the sweep binaries)
 //! reproduces these merge semantics without intermediate segment files:
@@ -402,7 +403,7 @@ mod tests {
         let mut out = ClassificationAtlas::open(&out_path).unwrap();
         let err = merge_segments(&mut out, &seg_paths).unwrap_err();
         assert_eq!(err.path, seg_paths[1]);
-        assert!(matches!(err.error, AtlasError::Corrupt { .. }), "{err}");
+        assert!(matches!(err.error, AtlasError::Torn { .. }), "{err}");
 
         // The recovering fold salvages it. The failed strict fold had
         // already merged segment 0 (frames merged before a conflict

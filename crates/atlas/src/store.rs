@@ -10,81 +10,24 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::fs::OpenOptions;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use bnf_core::{ClosedInterval, LowerBound, StabilityWindow, Threshold, WindowRecord};
-use bnf_games::Ratio;
+use bnf_core::WindowRecord;
 use bnf_graph::Graph;
 use bnf_stream::PruneCounters;
 
-/// Leading magic bytes of an atlas file.
-pub const ATLAS_MAGIC: [u8; 8] = *b"BNFATLAS";
-
-/// Current format *and semantics* version. Bump whenever the byte layout
-/// **or the meaning of a stored record** changes (e.g. a classifier fix
-/// that alters windows) — version-mismatched files are rejected, never
-/// silently reinterpreted.
-///
-/// Version 2 added the shard-segment metadata frame (tag 3) for
-/// multi-process sweeps; record and coverage frames are unchanged.
-///
-/// Version 3 extends the shard-metadata frame with the orchestrator-run
-/// tag ([`ShardMeta::orchestrator_run`]), distinguishing in-process
-/// work-stolen ranges (which share one process, hence one peak-RSS
-/// value) from standalone `--shard` processes; record and coverage
-/// frames are unchanged.
-///
-/// Version 4 packs records into **columnar block frames** (tag 4, see
-/// [`crate::codec`]): prefix-delta keys, zigzag-varint delta columns,
-/// presence-bitmap windows, one CRC + record count per block. Coverage
-/// and shard-metadata frames are unchanged, and so are the recovery
-/// and `--resume` commit semantics — they now apply at block
-/// granularity. v3 stores stay fully readable *and appendable* (in
-/// their own row format); new stores are stamped v4 unless
-/// `BNF_ATLAS_FORMAT=3` (see [`default_new_version`]).
-pub const ATLAS_VERSION: u32 = 4;
-
-/// Oldest format version this build still reads and appends. Anything
-/// older (or newer than [`ATLAS_VERSION`]) is rejected as
-/// [`AtlasError::VersionMismatch`] — delete the file to rebuild, or
-/// keep it for an old build.
-pub const MIN_ATLAS_VERSION: u32 = 3;
-
-/// Hard ceiling on one frame's encoded length in a **v3** store. Real
-/// v3 frames are tiny — a record is ~100 bytes, a shard-metadata frame
-/// ~170 — so a length field beyond this is mid-store corruption.
-/// Without the cap a corrupted length field could swallow the rest of
-/// the file and masquerade as a torn tail, silently "recovering" away
-/// good frames.
-pub const MAX_FRAME_LEN: u32 = 1 << 20;
-
-/// Hard ceiling on one frame's encoded length in a **v4** store. A
-/// full 4096-record columnar block tops out well under 1 MiB today,
-/// but the cap leaves headroom for the window-heavy record shapes the
-/// follow-up models add without another version bump; a length field
-/// beyond it is still mid-store corruption, never a tear.
-pub const MAX_BLOCK_FRAME_LEN: u32 = 1 << 26;
-
-/// The frame-length corruption bound for a store of `version` —
-/// [`MAX_FRAME_LEN`] for v3 row frames, [`MAX_BLOCK_FRAME_LEN`] for v4
-/// block frames. Version-aware so a legitimate multi-megabyte block is
-/// never misdiagnosed as mid-store corruption.
-pub fn max_frame_len(version: u32) -> u32 {
-    if version >= 4 {
-        MAX_BLOCK_FRAME_LEN
-    } else {
-        MAX_FRAME_LEN
-    }
-}
+use crate::frame::{self, Frame, FrameWalker, Opened, ATLAS_VERSION, MIN_ATLAS_VERSION};
 
 /// Why an atlas file could not be opened, read or appended to.
 #[derive(Debug)]
 pub enum AtlasError {
     /// Underlying filesystem failure.
     Io(std::io::Error),
-    /// The file does not start with [`ATLAS_MAGIC`] — not an atlas.
+    /// The file does not start with [`crate::ATLAS_MAGIC`] — not an
+    /// atlas (a header torn at creation counts: nothing decodable
+    /// survives).
     BadMagic,
     /// The file's version is outside the supported
     /// [`MIN_ATLAS_VERSION`]`..=`[`ATLAS_VERSION`] range; stale caches
@@ -93,13 +36,30 @@ pub enum AtlasError {
         /// Version found in the file header.
         found: u32,
     },
-    /// Structurally invalid record data at `offset` (truncation counts:
-    /// a half-written record means the producing run died mid-append).
+    /// Mid-store corruption at `offset`: a fully present frame that
+    /// does not decode, a length field over the version's cap, or a
+    /// frame contradicting an earlier one. Never recoverable.
     Corrupt {
-        /// Byte offset of the offending record frame.
+        /// Byte offset of the offending frame.
         offset: u64,
         /// Human-readable diagnosis.
         reason: String,
+    },
+    /// The file ends inside the frame at `offset` — the producing run
+    /// died mid-append. Everything before `offset` is clean, and
+    /// [`ClassificationAtlas::open_recovering`] truncates back to it.
+    Torn {
+        /// Byte offset of the torn frame: the clean prefix length.
+        offset: u64,
+        /// Human-readable diagnosis.
+        reason: String,
+    },
+    /// An append to a store of format `found`, which this build reads
+    /// but no longer writes; `atlas_compact` migrates it to
+    /// [`ATLAS_VERSION`].
+    ReadOnly {
+        /// Version found in the file header.
+        found: u32,
     },
     /// An append tried to bind `key` to a record different from the one
     /// already stored — classification is pure, so this indicates a
@@ -141,6 +101,14 @@ impl fmt::Display for AtlasError {
             AtlasError::Corrupt { offset, reason } => {
                 write!(f, "corrupt atlas record at byte {offset}: {reason}")
             }
+            AtlasError::Torn { offset, reason } => {
+                write!(f, "torn atlas tail at byte {offset}: {reason}")
+            }
+            AtlasError::ReadOnly { found } => write!(
+                f,
+                "atlas format v{found} is read-only in this build; migrate the store to \
+                 v{ATLAS_VERSION} with atlas_compact"
+            ),
             AtlasError::KeyConflict { key } => write!(
                 f,
                 "conflicting record for key {key}: classifier changed without a version bump?"
@@ -224,7 +192,7 @@ impl ShardMeta {
     /// The fields that identify a shard slot: two metas with equal
     /// identity describe the same range of the same deterministic
     /// partition and must agree on everything but timings.
-    fn identity(&self) -> (u16, u32, u64, u32) {
+    pub(crate) fn identity(&self) -> (u16, u32, u64, u32) {
         (
             self.order,
             self.shard_count,
@@ -235,7 +203,7 @@ impl ShardMeta {
 
     /// Whether `other` is a legitimate re-run of the same shard slot:
     /// same range and emission count (wall-clock and RSS may differ).
-    fn compatible(&self, other: &ShardMeta) -> bool {
+    pub(crate) fn compatible(&self, other: &ShardMeta) -> bool {
         self.parent_lo == other.parent_lo
             && self.parent_hi == other.parent_hi
             && self.emitted == other.emitted
@@ -319,8 +287,8 @@ impl ShardMeta {
 #[derive(Debug)]
 pub struct ClassificationAtlas {
     path: PathBuf,
-    /// On-disk format version (parsed from the header; the creation
-    /// version for fresh stores). Governs how appends are framed.
+    /// On-disk format version (parsed from the header; [`ATLAS_VERSION`]
+    /// for fresh stores). Only [`ATLAS_VERSION`] stores take appends.
     version: u32,
     map: HashMap<String, WindowRecord>,
     /// Orders whose *complete* connected enumeration is stored, with
@@ -331,104 +299,37 @@ pub struct ClassificationAtlas {
     shards: Vec<ShardMeta>,
 }
 
-/// Frame tag: the payload is one encoded [`WindowRecord`].
-pub(crate) const FRAME_RECORD: u8 = 1;
-/// Frame tag: the payload declares complete sweep coverage for one
-/// order (`u16` order + `u64` topology count).
-pub(crate) const FRAME_COVERAGE: u8 = 2;
-/// Frame tag: the payload is one encoded [`ShardMeta`].
-pub(crate) const FRAME_SHARD_META: u8 = 3;
-/// Frame tag (v4 stores only): the payload is one columnar block of up
-/// to [`crate::codec::BLOCK_RECORDS`] records (see [`crate::codec`]).
-pub(crate) const FRAME_RECORD_BLOCK: u8 = 4;
-
-/// The version stamped into newly created stores: [`ATLAS_VERSION`],
-/// unless the `BNF_ATLAS_FORMAT` environment variable selects another
-/// supported format (e.g. `BNF_ATLAS_FORMAT=3` keeps producing row
-/// stores an older build can read). Unset, empty, or out-of-range
-/// values fall back to [`ATLAS_VERSION`]. Existing stores always keep
-/// their own version — this only affects creation.
-pub fn default_new_version() -> u32 {
-    version_from_env(std::env::var("BNF_ATLAS_FORMAT").ok())
-}
-
-/// The pure core of [`default_new_version`], split out for tests (the
-/// process environment is shared across threads).
-pub(crate) fn version_from_env(raw: Option<String>) -> u32 {
-    match raw
-        .as_deref()
-        .map(str::trim)
-        .and_then(|s| s.parse::<u32>().ok())
-    {
-        Some(v) if (MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&v) => v,
-        _ => ATLAS_VERSION,
-    }
-}
-
 impl ClassificationAtlas {
-    /// Opens an atlas at `path`, creating an empty one (header only) if
-    /// the file is missing or zero-length.
+    /// Opens an atlas at `path`, creating an empty v[`ATLAS_VERSION`]
+    /// one (header only) if the file is missing or zero-length. An
+    /// existing v3 store opens read-only: it replays and merges out,
+    /// but appends to it fail with [`AtlasError::ReadOnly`].
     ///
     /// # Errors
     ///
     /// [`AtlasError::BadMagic`] / [`AtlasError::VersionMismatch`] for
-    /// foreign or stale files, [`AtlasError::Corrupt`] for truncated or
-    /// malformed records, [`AtlasError::Io`] on filesystem failure.
-    ///
-    /// A fresh store is stamped [`default_new_version`]; an existing
-    /// store keeps (and is appended in) its own format version.
+    /// foreign or stale files, [`AtlasError::Torn`] for a file ending
+    /// mid-frame (recover it with
+    /// [`ClassificationAtlas::open_recovering`]),
+    /// [`AtlasError::Corrupt`] for mid-store corruption,
+    /// [`AtlasError::Io`] on filesystem failure.
     pub fn open(path: impl AsRef<Path>) -> Result<ClassificationAtlas, AtlasError> {
-        Self::open_with_version(path, default_new_version())
-    }
-
-    /// [`ClassificationAtlas::open`] with an explicit format version
-    /// for *newly created* stores — the programmatic form of
-    /// `BNF_ATLAS_FORMAT`, immune to environment races in threaded
-    /// callers. Existing stores keep their own version regardless.
-    ///
-    /// # Errors
-    ///
-    /// As [`ClassificationAtlas::open`], plus
-    /// [`AtlasError::VersionMismatch`] when `new_version` itself is
-    /// unsupported.
-    pub fn open_with_version(
-        path: impl AsRef<Path>,
-        new_version: u32,
-    ) -> Result<ClassificationAtlas, AtlasError> {
-        if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&new_version) {
-            return Err(AtlasError::VersionMismatch { found: new_version });
-        }
         let path = path.as_ref().to_path_buf();
-        let loaded = match load_store(&path)? {
-            None => {
-                stamp_header(&path, new_version)?;
-                LoadedStore {
-                    version: new_version,
-                    ..LoadedStore::default()
-                }
-            }
-            Some(loaded) => loaded,
-        };
+        let loaded = load_or_create(&path)?;
         if let Some(reason) = loaded.torn {
             // A torn tail is *recoverable* — but only on explicit
             // request ([`ClassificationAtlas::open_recovering`]): the
             // default open refuses rather than silently shortening a
             // store the caller believed complete.
-            if loaded.clean_len < 12 {
+            if loaded.clean_len < frame::HEADER_LEN {
                 return Err(AtlasError::BadMagic);
             }
-            return Err(AtlasError::Corrupt {
+            return Err(AtlasError::Torn {
                 offset: loaded.clean_len,
                 reason,
             });
         }
-        Ok(ClassificationAtlas {
-            path,
-            version: loaded.version,
-            map: loaded.map,
-            coverage: loaded.coverage,
-            shards: loaded.shards,
-        })
+        Ok(ClassificationAtlas::from_loaded(path, loaded))
     }
 
     /// Opens an atlas at `path` like [`ClassificationAtlas::open`], but
@@ -439,8 +340,8 @@ impl ClassificationAtlas {
     ///
     /// Only the *tail* is recoverable. A fully-present frame that fails
     /// to decode, or a frame length over the store's version-aware
-    /// bound ([`max_frame_len`]), is mid-store corruption and stays a
-    /// typed [`AtlasError::Corrupt`] — recovery never invents a
+    /// bound ([`crate::max_frame_len`]), is mid-store corruption and
+    /// stays a typed [`AtlasError::Corrupt`] — recovery never invents a
     /// truncation point inside the clean prefix, and never drops bytes
     /// silently (the report is the contract). In a v4 store the same
     /// rule holds at block granularity: a torn block frame is dropped
@@ -456,65 +357,71 @@ impl ClassificationAtlas {
     /// foreign or stale files, [`AtlasError::Corrupt`] for mid-store
     /// corruption, [`AtlasError::Io`] on filesystem failure.
     pub fn open_recovering(path: impl AsRef<Path>) -> Result<RecoveredAtlas, AtlasError> {
-        let new_version = default_new_version();
         let path = path.as_ref().to_path_buf();
-        let mut loaded = match load_store(&path)? {
-            None => {
-                stamp_header(&path, new_version)?;
-                LoadedStore {
-                    version: new_version,
-                    ..LoadedStore::default()
-                }
-            }
-            Some(loaded) => loaded,
-        };
+        let mut loaded = load_or_create(&path)?;
         let report = match &loaded.torn {
             None => RecoveryReport {
                 dropped_bytes: 0,
-                recovered_len: std::fs::metadata(&path)?.len().max(12),
+                recovered_len: std::fs::metadata(&path)?.len().max(frame::HEADER_LEN),
                 torn: None,
             },
             Some(reason) => {
                 let file_len = std::fs::metadata(&path)?.len();
                 let f = OpenOptions::new().write(true).open(&path)?;
-                if loaded.clean_len < 12 {
+                if loaded.clean_len < frame::HEADER_LEN {
                     // The tear is inside the 12-byte header: nothing
-                    // decodable survives; re-stamp a fresh store (the
-                    // intended version may itself be torn off, so the
-                    // re-stamp uses the creation default).
+                    // decodable survives; re-stamp a fresh store.
                     f.set_len(0)?;
                     drop(f);
-                    stamp_header(&path, new_version)?;
-                    loaded.version = new_version;
+                    stamp_header(&path)?;
+                    loaded.version = ATLAS_VERSION;
                 } else {
                     f.set_len(loaded.clean_len)?;
                     f.sync_all()?;
                 }
                 RecoveryReport {
                     dropped_bytes: file_len.saturating_sub(loaded.clean_len),
-                    recovered_len: loaded.clean_len.max(12),
+                    recovered_len: loaded.clean_len.max(frame::HEADER_LEN),
                     torn: Some(reason.clone()),
                 }
             }
         };
         Ok(RecoveredAtlas {
-            atlas: ClassificationAtlas {
-                path,
-                version: loaded.version,
-                map: loaded.map,
-                coverage: loaded.coverage,
-                shards: loaded.shards,
-            },
+            atlas: ClassificationAtlas::from_loaded(path, loaded),
             report,
         })
     }
 
-    /// The on-disk format version of this store (3 or 4) — parsed from
-    /// the header on open, [`default_new_version`] for fresh stores.
-    /// Appends are framed in this version: row frames for v3, columnar
-    /// blocks for v4.
+    fn from_loaded(path: PathBuf, loaded: LoadedStore) -> ClassificationAtlas {
+        ClassificationAtlas {
+            path,
+            version: loaded.version,
+            map: loaded.map,
+            coverage: loaded.coverage,
+            shards: loaded.shards,
+        }
+    }
+
+    /// The on-disk format version of this store: 4 for every store
+    /// this build creates, 3 for a read-only older store.
     pub fn version(&self) -> u32 {
         self.version
+    }
+
+    /// Refuses writes to a store this build reads but no longer writes.
+    ///
+    /// # Errors
+    ///
+    /// [`AtlasError::ReadOnly`] for a store older than
+    /// [`ATLAS_VERSION`].
+    pub fn check_writable(&self) -> Result<(), AtlasError> {
+        if self.version == ATLAS_VERSION {
+            Ok(())
+        } else {
+            Err(AtlasError::ReadOnly {
+                found: self.version,
+            })
+        }
     }
 
     /// The record stored for a canonical graph6 `key`, if any.
@@ -556,7 +463,8 @@ impl ClassificationAtlas {
     /// [`AtlasError::KeyConflict`] if any key — already stored *or*
     /// duplicated within this batch — maps to a different record
     /// (records appended before the conflict was seen stay appended;
-    /// they are valid), [`AtlasError::Io`] on write failure.
+    /// they are valid), [`AtlasError::ReadOnly`] for a v3 store,
+    /// [`AtlasError::Io`] on write failure.
     pub fn append_records<'a>(
         &mut self,
         records: impl IntoIterator<Item = &'a WindowRecord>,
@@ -576,15 +484,15 @@ impl ClassificationAtlas {
         if fresh.is_empty() {
             return Ok(0);
         }
+        self.check_writable()?;
         let write_started = std::time::Instant::now();
         let mut w = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
         let mut payload = Vec::new();
-        // v4 stores pack this batch into columnar block frames (every
-        // block full at BLOCK_RECORDS except possibly the last); v3
-        // stores keep one row frame per record. Either way the whole
-        // batch is on disk when this call returns — no frame ever
-        // spans append calls, so torn-tail recovery and the
-        // `append_commit_frame` ordering are unchanged.
+        // The batch packs into columnar block frames, every block full
+        // at BLOCK_RECORDS except possibly the last. The whole batch is
+        // on disk when this call returns — no frame ever spans append
+        // calls, so torn-tail recovery and the `append_commit_frame`
+        // ordering hold at block granularity.
         let mut block: Vec<&WindowRecord> = Vec::new();
         // The enumeration can only yield distinct keys within one
         // batch, but defend against caller-supplied duplicates: an
@@ -604,17 +512,9 @@ impl ClassificationAtlas {
                     key: rec.key.clone(),
                 });
             }
-            if self.version >= 4 {
-                block.push(rec);
-                if block.len() == crate::codec::BLOCK_RECORDS {
-                    write_block_frame(&mut w, &mut payload, &mut block)?;
-                }
-            } else {
-                payload.clear();
-                payload.push(FRAME_RECORD);
-                encode_record(rec, &mut payload);
-                w.write_all(&(payload.len() as u32).to_le_bytes())?;
-                w.write_all(&payload)?;
+            block.push(rec);
+            if block.len() == crate::codec::BLOCK_RECORDS {
+                write_block_frame(&mut w, &mut payload, &mut block)?;
             }
             self.map.insert(rec.key.clone(), rec.clone());
             appended += 1;
@@ -636,18 +536,15 @@ impl ClassificationAtlas {
     /// # Errors
     ///
     /// [`AtlasError::CoverageConflict`] when coverage for `order` is
-    /// already declared with a different count, [`AtlasError::Io`] on
-    /// write failure.
+    /// already declared with a different count, [`AtlasError::ReadOnly`]
+    /// for a v3 store, [`AtlasError::Io`] on write failure.
     pub fn mark_complete(&mut self, order: usize, count: usize) -> Result<(), AtlasError> {
         match self.coverage.get(&(order as u16)) {
             Some(&stored) if stored == count as u64 => return Ok(()),
             Some(_) => return Err(AtlasError::CoverageConflict { order }),
             None => {}
         }
-        let mut payload = vec![FRAME_COVERAGE];
-        payload.extend_from_slice(&(order as u16).to_le_bytes());
-        payload.extend_from_slice(&(count as u64).to_le_bytes());
-        self.append_commit_frame(&payload)?;
+        self.append_commit_frame(&frame::coverage_payload(order as u16, count as u64))?;
         self.coverage.insert(order as u16, count as u64);
         Ok(())
     }
@@ -713,7 +610,8 @@ impl ClassificationAtlas {
     /// [`AtlasError::ShardConflict`] when the stored entry for the slot
     /// disagrees on range or emission count (the enumeration is
     /// deterministic, so a disagreeing "re-run" means incompatible
-    /// builds), [`AtlasError::Io`] on write failure.
+    /// builds), [`AtlasError::ReadOnly`] for a v3 store,
+    /// [`AtlasError::Io`] on write failure.
     pub fn append_shard_meta(&mut self, meta: &ShardMeta) -> Result<bool, AtlasError> {
         if let Some(stored) = self.shards.iter().find(|m| m.identity() == meta.identity()) {
             if stored.compatible(meta) {
@@ -734,9 +632,7 @@ impl ClassificationAtlas {
                 ),
             });
         }
-        let mut payload = vec![FRAME_SHARD_META];
-        encode_shard_meta(meta, &mut payload);
-        self.append_commit_frame(&payload)?;
+        self.append_commit_frame(&frame::shard_meta_payload(meta))?;
         self.shards.push(meta.clone());
         Ok(true)
     }
@@ -750,12 +646,12 @@ impl ClassificationAtlas {
     /// crash therefore *guarantees* its range's records are present too,
     /// which is what lets `--resume` skip completed ranges outright.
     fn append_commit_frame(&self, payload: &[u8]) -> Result<(), AtlasError> {
+        self.check_writable()?;
         let mut f = OpenOptions::new().append(true).open(&self.path)?;
         f.sync_all()?;
-        let mut frame = Vec::with_capacity(4 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(payload);
-        f.write_all(&frame)?;
+        let mut bytes = Vec::with_capacity(4 + payload.len());
+        frame::write_frame(&mut bytes, payload)?;
+        f.write_all(&bytes)?;
         f.sync_all()?;
         Ok(())
     }
@@ -782,8 +678,8 @@ impl ClassificationAtlas {
     ///
     /// # Errors
     ///
-    /// The typed conflicts above, or [`AtlasError::Io`] on write
-    /// failure.
+    /// The typed conflicts above, [`AtlasError::ReadOnly`] when this
+    /// store is v3, or [`AtlasError::Io`] on write failure.
     pub fn merge_from(&mut self, other: &ClassificationAtlas) -> Result<MergeOutcome, AtlasError> {
         let appended = self.append_records(other.iter())?;
         let mut outcome = MergeOutcome {
@@ -957,11 +853,12 @@ impl fmt::Display for RecoveryReport {
     }
 }
 
-/// Everything [`load_store`] decoded, plus where the clean prefix ends.
+/// Everything [`load_or_create`] decoded, plus where the clean prefix
+/// ends.
 #[derive(Debug, Default)]
 struct LoadedStore {
     /// Header format version (0 only when the header itself is torn —
-    /// the caller restamps with the creation default).
+    /// recovery restamps it).
     version: u32,
     map: HashMap<String, WindowRecord>,
     coverage: HashMap<u16, u64>,
@@ -975,295 +872,67 @@ struct LoadedStore {
     torn: Option<String>,
 }
 
-/// Reads `buf.len()` bytes unless EOF comes first; returns how many
-/// arrived — the byte count [`load_store`] needs to tell a clean frame
-/// boundary (0 bytes of the next length field) from a torn tail (a
-/// partial length field or short payload).
-pub(crate) fn read_full(r: &mut impl Read, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(filled)
-}
-
-/// Stamps a fresh header (magic + `version`) into `path`, durably.
-fn stamp_header(path: &Path, version: u32) -> Result<(), AtlasError> {
+/// Stamps a fresh v[`ATLAS_VERSION`] header into `path`, durably.
+fn stamp_header(path: &Path) -> Result<(), AtlasError> {
     let mut f = OpenOptions::new()
         .create(true)
         .write(true)
         .truncate(true)
         .open(path)?;
-    f.write_all(&ATLAS_MAGIC)?;
-    f.write_all(&version.to_le_bytes())?;
+    f.write_all(&frame::header())?;
     f.sync_all()?;
     Ok(())
 }
 
 /// The shared read path of [`ClassificationAtlas::open`] and
-/// [`ClassificationAtlas::open_recovering`]: decodes the clean frame
-/// prefix and classifies the tail. `None` means the file is missing or
-/// empty (the caller stamps a fresh header). Torn-vs-corrupt
-/// distinction: the file ending *mid-frame* (partial length field or
-/// short payload) is a tear — the producing process died mid-append —
-/// while a fully present frame that fails to decode, or a length field
-/// over the version's bound ([`max_frame_len`]), is mid-store
-/// corruption and errors here.
-fn load_store(path: &Path) -> Result<Option<LoadedStore>, AtlasError> {
-    let file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    if file.metadata()?.len() == 0 {
-        return Ok(None);
-    }
-    let mut r = BufReader::new(file);
-    let mut header = [0u8; 12];
-    let got = read_full(&mut r, &mut header)?;
-    if got < 12 {
-        // A truncated header prefix that could still become a valid
-        // one (magic prefix, then a supported little-endian version
-        // byte and zero padding): torn at creation.
-        let magic_ok = header[..got.min(8)] == ATLAS_MAGIC[..got.min(8)];
-        let version_ok = got <= 8
-            || (u32::from(header[8]) >= MIN_ATLAS_VERSION
-                && u32::from(header[8]) <= ATLAS_VERSION
-                && header[9..got].iter().all(|&b| b == 0));
-        if magic_ok && version_ok {
-            return Ok(Some(LoadedStore {
-                clean_len: 0,
-                torn: Some(format!("file ends {got} bytes into the 12-byte header")),
+/// [`ClassificationAtlas::open_recovering`]: walks the clean frame
+/// prefix into the record map, stamping a fresh store when the file is
+/// missing or empty. A torn tail is reported in
+/// [`LoadedStore::torn`]; every other walk error is returned.
+fn load_or_create(path: &Path) -> Result<LoadedStore, AtlasError> {
+    let mut walker = match FrameWalker::open(path)? {
+        Opened::Absent => {
+            stamp_header(path)?;
+            return Ok(LoadedStore {
+                version: ATLAS_VERSION,
+                clean_len: frame::HEADER_LEN,
                 ..LoadedStore::default()
-            }));
-        }
-        return Err(AtlasError::BadMagic);
-    }
-    if header[..8] != ATLAS_MAGIC {
-        return Err(AtlasError::BadMagic);
-    }
-    let found = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if !(MIN_ATLAS_VERSION..=ATLAS_VERSION).contains(&found) {
-        return Err(AtlasError::VersionMismatch { found });
-    }
-    let frame_cap = max_frame_len(found);
-    let mut out = LoadedStore {
-        version: found,
-        clean_len: 12,
-        ..LoadedStore::default()
-    };
-    loop {
-        let mut len_buf = [0u8; 4];
-        let got = read_full(&mut r, &mut len_buf)?;
-        if got == 0 {
-            break; // clean frame boundary
-        }
-        if got < 4 {
-            out.torn = Some(format!(
-                "file ends {got} bytes into a frame length field at byte {}",
-                out.clean_len
-            ));
-            break;
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len == 0 || len > frame_cap {
-            return Err(AtlasError::Corrupt {
-                offset: out.clean_len,
-                reason: format!("frame length {len} outside 1..={frame_cap} (the v{found} cap)"),
             });
         }
-        let mut payload = vec![0u8; len as usize];
-        let got = read_full(&mut r, &mut payload)?;
-        if got < len as usize {
-            out.torn = Some(format!(
-                "record frame of {len} bytes truncated ({got} present) at byte {}",
-                out.clean_len
-            ));
-            break;
+        Opened::TornHeader(reason) => {
+            return Ok(LoadedStore {
+                torn: Some(reason),
+                ..LoadedStore::default()
+            })
         }
-        decode_frame(
-            &payload,
-            found,
-            &mut out.map,
-            &mut out.coverage,
-            &mut out.shards,
-        )
-        .map_err(|reason| AtlasError::Corrupt {
-            offset: out.clean_len,
-            reason,
-        })?;
-        out.clean_len += 4 + len as u64;
-    }
-    Ok(Some(out))
-}
-
-/// Parses one frame (tag byte + payload) into the maps. `version` is
-/// the store's header version: block frames (tag 4) are only legal in
-/// v4 stores — in a v3 file the tag is corruption, never silently
-/// decoded by a reader the v3 writer predates.
-fn decode_frame(
-    payload: &[u8],
-    version: u32,
-    map: &mut HashMap<String, WindowRecord>,
-    coverage: &mut HashMap<u16, u64>,
-    shards: &mut Vec<ShardMeta>,
-) -> Result<(), String> {
-    let (&tag, body) = payload
-        .split_first()
-        .ok_or_else(|| "empty frame".to_string())?;
-    match tag {
-        FRAME_RECORD => {
-            let record = decode_record(body)?;
-            map.insert(record.key.clone(), record);
-            Ok(())
-        }
-        FRAME_RECORD_BLOCK => {
-            if version < 4 {
-                return Err("columnar block frame (tag 4) in a v3 store".into());
-            }
-            for record in crate::codec::decode_block(body)? {
-                map.insert(record.key.clone(), record);
-            }
-            Ok(())
-        }
-        FRAME_SHARD_META => {
-            let meta = decode_shard_meta(body)?;
-            match shards.iter().find(|m| m.identity() == meta.identity()) {
-                Some(stored) if !stored.compatible(&meta) => Err(format!(
-                    "conflicting metadata for shard {}/{} of order {}",
-                    meta.shard_index, meta.shard_count, meta.order
-                )),
-                Some(_) => Ok(()), // identical slot: dedup on read too
-                None => {
-                    shards.push(meta);
-                    Ok(())
+        Opened::Store(walker) => walker,
+    };
+    let mut map = HashMap::new();
+    let torn = loop {
+        match walker.next_frame() {
+            Ok(Some((_, Frame::Records(records)))) => {
+                for record in records {
+                    map.insert(record.key.clone(), record);
                 }
             }
+            Ok(Some(_)) => {}
+            Ok(None) => break None,
+            Err(AtlasError::Torn { reason, .. }) => break Some(reason),
+            Err(e) => return Err(e),
         }
-        FRAME_COVERAGE => {
-            let mut c = Cursor { buf: body, pos: 0 };
-            let order = c.u16()?;
-            let count = c.u64()?;
-            if c.pos != body.len() {
-                return Err("trailing bytes after coverage frame".into());
-            }
-            match coverage.get(&order) {
-                Some(&stored) if stored != count => Err(format!(
-                    "conflicting coverage counts for order {order}: {stored} vs {count}"
-                )),
-                _ => {
-                    coverage.insert(order, count);
-                    Ok(())
-                }
-            }
-        }
-        t => Err(format!("unknown frame tag {t}")),
-    }
-}
-
-fn put_counters(out: &mut Vec<u8>, c: &PruneCounters) {
-    for v in [
-        c.candidates,
-        c.orbit_skipped,
-        c.cheap_rejected,
-        c.search_rejected,
-        c.duplicates,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-fn encode_shard_meta(meta: &ShardMeta, out: &mut Vec<u8>) {
-    out.extend_from_slice(&meta.order.to_le_bytes());
-    out.extend_from_slice(&meta.shard_index.to_le_bytes());
-    out.extend_from_slice(&meta.shard_count.to_le_bytes());
-    for v in [
-        meta.frontier_len,
-        meta.parent_lo,
-        meta.parent_hi,
-        meta.emitted,
-        meta.elapsed_ms,
-    ] {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    match meta.peak_rss_kb {
-        None => out.push(0),
-        Some(kb) => {
-            out.push(1);
-            out.extend_from_slice(&kb.to_le_bytes());
-        }
-    }
-    match meta.orchestrator_run {
-        None => out.push(0),
-        Some(id) => {
-            out.push(1);
-            out.extend_from_slice(&id.to_le_bytes());
-        }
-    }
-    put_counters(out, &meta.frontier_prune);
-    put_counters(out, &meta.final_prune);
-}
-
-fn decode_shard_meta(payload: &[u8]) -> Result<ShardMeta, String> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
     };
-    let order = c.u16()?;
-    let shard_index = c.u32()?;
-    let shard_count = c.u32()?;
-    if shard_count == 0 || shard_index >= shard_count {
-        return Err(format!(
-            "shard index {shard_index} out of range 0..{shard_count}"
-        ));
-    }
-    let frontier_len = c.u64()?;
-    let parent_lo = c.u64()?;
-    let parent_hi = c.u64()?;
-    let emitted = c.u64()?;
-    let elapsed_ms = c.u64()?;
-    let peak_rss_kb = match c.u8()? {
-        0 => None,
-        1 => Some(c.u64()?),
-        t => return Err(format!("unknown peak-RSS tag {t}")),
-    };
-    let orchestrator_run = match c.u8()? {
-        0 => None,
-        1 => Some(c.u64()?),
-        t => return Err(format!("unknown orchestrator-run tag {t}")),
-    };
-    let frontier_prune = c.counters()?;
-    let final_prune = c.counters()?;
-    if c.pos != payload.len() {
-        return Err(format!(
-            "{} trailing bytes after shard metadata",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(ShardMeta {
-        order,
-        shard_index,
-        shard_count,
-        frontier_len,
-        parent_lo,
-        parent_hi,
-        emitted,
-        elapsed_ms,
-        peak_rss_kb,
-        orchestrator_run,
-        frontier_prune,
-        final_prune,
+    Ok(LoadedStore {
+        version: walker.version(),
+        map,
+        coverage: walker.coverage().iter().copied().collect(),
+        clean_len: walker.offset(),
+        torn,
+        shards: walker.into_shard_metas(),
     })
 }
 
 /// Writes the pending `block` (if non-empty) as one v4 columnar block
-/// frame and clears it. A no-op for v3 appends, whose block stays
-/// empty.
+/// frame and clears it.
 fn write_block_frame(
     w: &mut impl Write,
     payload: &mut Vec<u8>,
@@ -1272,197 +941,18 @@ fn write_block_frame(
     if block.is_empty() {
         return Ok(());
     }
-    payload.clear();
-    payload.push(FRAME_RECORD_BLOCK);
-    crate::codec::encode_block(block, payload);
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
+    frame::block_payload(block, payload);
+    frame::write_frame(w, payload)?;
     block.clear();
     Ok(())
-}
-
-fn put_ratio(out: &mut Vec<u8>, r: Ratio) {
-    out.extend_from_slice(&r.numer().to_le_bytes());
-    out.extend_from_slice(&r.denom().to_le_bytes());
-}
-
-fn put_threshold(out: &mut Vec<u8>, t: Threshold) {
-    match t {
-        Threshold::Finite(r) => {
-            out.push(0);
-            put_ratio(out, r);
-        }
-        Threshold::Infinite => out.push(1),
-    }
-}
-
-fn put_interval(out: &mut Vec<u8>, iv: ClosedInterval) {
-    put_ratio(out, iv.lo);
-    put_threshold(out, iv.hi);
-}
-
-pub(crate) fn encode_record(rec: &WindowRecord, out: &mut Vec<u8>) {
-    out.extend_from_slice(&(rec.key.len() as u16).to_le_bytes());
-    out.extend_from_slice(rec.key.as_bytes());
-    out.extend_from_slice(&(rec.order as u16).to_le_bytes());
-    out.extend_from_slice(&(rec.edges as u32).to_le_bytes());
-    out.extend_from_slice(&rec.total_distance.to_le_bytes());
-    match rec.stability {
-        None => out.push(0),
-        Some(w) => {
-            out.push(1);
-            put_ratio(out, w.lower.value);
-            out.push(u8::from(w.lower.inclusive));
-            put_threshold(out, w.upper);
-        }
-    }
-    match rec.transfer {
-        None => out.push(0),
-        Some(iv) => {
-            out.push(1);
-            put_interval(out, iv);
-        }
-    }
-    out.extend_from_slice(&(rec.ucg_support.len() as u16).to_le_bytes());
-    for iv in &rec.ucg_support {
-        put_interval(out, *iv);
-    }
-}
-
-/// A cursor over one record payload; every getter errors (with a
-/// string diagnosis) instead of panicking so corrupt files surface as
-/// [`AtlasError::Corrupt`].
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| format!("payload ends {n} bytes short"))?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, String> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn i64(&mut self) -> Result<i64, String> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn ratio(&mut self) -> Result<Ratio, String> {
-        let num = self.i64()?;
-        let den = self.i64()?;
-        if den == 0 {
-            return Err("ratio with zero denominator".into());
-        }
-        Ok(Ratio::new(num, den))
-    }
-
-    fn threshold(&mut self) -> Result<Threshold, String> {
-        match self.u8()? {
-            0 => Ok(Threshold::Finite(self.ratio()?)),
-            1 => Ok(Threshold::Infinite),
-            t => Err(format!("unknown threshold tag {t}")),
-        }
-    }
-
-    fn interval(&mut self) -> Result<ClosedInterval, String> {
-        Ok(ClosedInterval {
-            lo: self.ratio()?,
-            hi: self.threshold()?,
-        })
-    }
-
-    fn counters(&mut self) -> Result<PruneCounters, String> {
-        Ok(PruneCounters {
-            candidates: self.u64()?,
-            orbit_skipped: self.u64()?,
-            cheap_rejected: self.u64()?,
-            search_rejected: self.u64()?,
-            duplicates: self.u64()?,
-        })
-    }
-}
-
-pub(crate) fn decode_record(payload: &[u8]) -> Result<WindowRecord, String> {
-    let mut c = Cursor {
-        buf: payload,
-        pos: 0,
-    };
-    let key_len = c.u16()? as usize;
-    let key = std::str::from_utf8(c.take(key_len)?)
-        .map_err(|_| "key is not UTF-8".to_string())?
-        .to_string();
-    let order = u32::from(c.u16()?);
-    let edges = u64::from(c.u32()?);
-    let total_distance = c.u64()?;
-    let stability = match c.u8()? {
-        0 => None,
-        1 => {
-            let value = c.ratio()?;
-            let inclusive = match c.u8()? {
-                0 => false,
-                1 => true,
-                t => return Err(format!("unknown inclusivity tag {t}")),
-            };
-            let upper = c.threshold()?;
-            Some(StabilityWindow {
-                lower: LowerBound { value, inclusive },
-                upper,
-            })
-        }
-        t => return Err(format!("unknown stability tag {t}")),
-    };
-    let transfer = match c.u8()? {
-        0 => None,
-        1 => Some(c.interval()?),
-        t => return Err(format!("unknown transfer tag {t}")),
-    };
-    let n_support = c.u16()? as usize;
-    let mut ucg_support = Vec::with_capacity(n_support);
-    for _ in 0..n_support {
-        ucg_support.push(c.interval()?);
-    }
-    if c.pos != payload.len() {
-        return Err(format!(
-            "{} trailing bytes after record",
-            payload.len() - c.pos
-        ));
-    }
-    Ok(WindowRecord {
-        key,
-        order,
-        edges,
-        total_distance,
-        stability,
-        transfer,
-        ucg_support,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{max_frame_len, ATLAS_MAGIC, MAX_BLOCK_FRAME_LEN, MAX_FRAME_LEN};
+    use bnf_core::{ClosedInterval, LowerBound, StabilityWindow, Threshold};
+    use bnf_games::Ratio;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// A unique throwaway path under the system temp dir (no tempfile
@@ -1597,9 +1087,12 @@ mod tests {
         }
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
+        // The strict open refuses a truncated record, typed as the torn
+        // tail it is (at the start of the one block frame), so callers
+        // can tell it from mid-store corruption.
         match ClassificationAtlas::open(&path) {
-            Err(AtlasError::Corrupt { .. }) => {}
-            other => panic!("expected Corrupt, got {other:?}"),
+            Err(AtlasError::Torn { offset: 12, .. }) => {}
+            other => panic!("expected Torn at 12, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();
     }
@@ -1612,7 +1105,7 @@ mod tests {
         bytes.extend_from_slice(&ATLAS_VERSION.to_le_bytes());
         // A record frame of 7 bytes whose key length claims 400.
         bytes.extend_from_slice(&7u32.to_le_bytes());
-        bytes.push(super::FRAME_RECORD);
+        bytes.push(1); // tag 1: a row record
         bytes.extend_from_slice(&400u16.to_le_bytes());
         bytes.extend_from_slice(&[0, 0, 0, 0]);
         std::fs::write(&path, &bytes).unwrap();
@@ -1663,7 +1156,7 @@ mod tests {
         std::fs::write(&path, &bytes[..torn_len as usize]).unwrap();
         assert!(matches!(
             ClassificationAtlas::open(&path),
-            Err(AtlasError::Corrupt { .. })
+            Err(AtlasError::Torn { offset, .. }) if offset == boundary
         ));
         let recovered = ClassificationAtlas::open_recovering(&path).unwrap();
         assert!(recovered.report.was_torn());
@@ -1742,25 +1235,35 @@ mod tests {
     }
 
     #[test]
-    fn v3_stores_stay_writable_in_row_format() {
-        let path = scratch_path("v3-append");
-        let records = sample_records();
-        {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, 3).unwrap();
-            assert_eq!(atlas.version(), 3);
-            atlas.append_records(&records).unwrap();
-            atlas.mark_complete(5, records.len()).unwrap();
-        }
-        // The header says v3 and every record frame is a row frame.
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[8..12], &3u32.to_le_bytes());
-        assert_eq!(bytes[16], FRAME_RECORD);
-        // A plain reopen keeps the store's own version (no silent
-        // upgrade) and replays losslessly.
-        let atlas = ClassificationAtlas::open(&path).unwrap();
+    fn v3_stores_are_read_only() {
+        let path = scratch_path("v3-readonly");
+        std::fs::copy(crate::V3_FIXTURE, &path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // A v3 store opens and replays in full...
+        let mut atlas = ClassificationAtlas::open(&path).unwrap();
         assert_eq!(atlas.version(), 3);
-        assert_eq!(atlas.len(), records.len());
-        assert_eq!(atlas.coverage(5), Some(records.len() as u64));
+        assert_eq!(atlas.len(), 112);
+        assert_eq!(atlas.coverage(6), Some(112));
+        assert_eq!(atlas.complete_sweep(6).map(|r| r.len()), Some(112));
+        assert!(!atlas.shard_metas().is_empty());
+        // ...but every append is refused, naming the migration tool.
+        let fresh = sample_records();
+        let err = atlas.append_records(&fresh).unwrap_err();
+        assert!(matches!(err, AtlasError::ReadOnly { found: 3 }), "{err:?}");
+        assert!(err.to_string().contains("atlas_compact"), "{err}");
+        assert!(matches!(
+            atlas.mark_complete(5, 2),
+            Err(AtlasError::ReadOnly { found: 3 })
+        ));
+        assert!(matches!(
+            atlas.append_shard_meta(&sample_meta(0, 1)),
+            Err(AtlasError::ReadOnly { found: 3 })
+        ));
+        assert!(atlas.check_writable().is_err());
+        // Re-appending stored records writes nothing, so it is no error.
+        let stored: Vec<WindowRecord> = atlas.iter().take(3).cloned().collect();
+        assert_eq!(atlas.append_records(&stored).unwrap(), 0);
+        assert_eq!(std::fs::read(&path).unwrap(), before, "store bytes changed");
         std::fs::remove_file(&path).ok();
     }
 
@@ -1769,15 +1272,16 @@ mod tests {
         let path = scratch_path("v4-blocks");
         let records = sample_records();
         {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, ATLAS_VERSION).unwrap();
+            let mut atlas = ClassificationAtlas::open(&path).unwrap();
             assert_eq!(atlas.version(), ATLAS_VERSION);
+            assert!(atlas.check_writable().is_ok());
             atlas.append_records(&records).unwrap();
         }
         // One batch, fewer than BLOCK_RECORDS records: exactly one
         // block frame after the header.
         let bytes = std::fs::read(&path).unwrap();
         assert_eq!(&bytes[8..12], &ATLAS_VERSION.to_le_bytes());
-        assert_eq!(bytes[16], FRAME_RECORD_BLOCK);
+        assert_eq!(bytes[16], 4, "tag 4: a columnar block");
         let frame_len = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
         assert_eq!(bytes.len(), 12 + 4 + frame_len, "exactly one frame");
         let atlas = ClassificationAtlas::open(&path).unwrap();
@@ -1793,7 +1297,7 @@ mod tests {
         let path = scratch_path("v3-blocktag");
         let records = sample_records();
         {
-            let mut atlas = ClassificationAtlas::open_with_version(&path, ATLAS_VERSION).unwrap();
+            let mut atlas = ClassificationAtlas::open(&path).unwrap();
             atlas.append_records(&records).unwrap();
         }
         // Rewrite the header to claim v3: the block tag is now corrupt
@@ -1807,27 +1311,6 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn new_store_version_tracks_the_env_override() {
-        assert_eq!(version_from_env(None), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some("3".into())), 3);
-        assert_eq!(version_from_env(Some(" 3 ".into())), 3);
-        assert_eq!(version_from_env(Some("4".into())), 4);
-        // Unsupported or unparsable values fall back to the default.
-        assert_eq!(version_from_env(Some("2".into())), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some("99".into())), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some("v3".into())), ATLAS_VERSION);
-        assert_eq!(version_from_env(Some(String::new())), ATLAS_VERSION);
-        // And the programmatic constructor rejects them as typed
-        // errors instead.
-        let path = scratch_path("bad-new-version");
-        assert!(matches!(
-            ClassificationAtlas::open_with_version(&path, 2),
-            Err(AtlasError::VersionMismatch { found: 2 })
-        ));
         std::fs::remove_file(&path).ok();
     }
 

@@ -201,7 +201,7 @@ fn full_block_plus_single_record_tail_replays_from_disk() {
         .map(|i| random_record(&mut rng, i))
         .collect();
     {
-        let mut atlas = ClassificationAtlas::open_with_version(&path, 4).unwrap();
+        let mut atlas = ClassificationAtlas::open(&path).unwrap();
         assert_eq!(atlas.append_records(&records).unwrap(), records.len());
     }
     // Two block frames on disk: a full 4096 and a single-record tail.

@@ -333,11 +333,10 @@ impl SweepArgs {
     /// manifest). A `--shard` run exits the process once its segment is
     /// written.
     ///
-    /// # Panics
-    ///
-    /// Panics (with a diagnostic) when the atlas cannot be opened,
-    /// recovered or appended to — a CLI front-end, not a library error
-    /// path.
+    /// When the atlas cannot be opened, recovered or appended to —
+    /// including a read-only v3 store that does not already cover the
+    /// order — the process exits with status 1 and one
+    /// `<tool>: cannot <open|append to> atlas <path>: <reason>` line.
     pub fn run(self, threads: usize) -> WindowSweep {
         let n = self.n;
         let threads = threads.max(1);
@@ -348,7 +347,7 @@ impl SweepArgs {
                 // recovery truncates the torn tail (reporting what it
                 // dropped) instead of refusing the whole store as Corrupt.
                 let recovered = bnf_atlas::ClassificationAtlas::open_recovering(p)
-                    .unwrap_or_else(|e| panic!("cannot recover atlas {p}: {e}"));
+                    .unwrap_or_else(|e| atlas_failure("open", p.as_ref(), &e));
                 if recovered.report.was_torn() {
                     eprintln!("atlas {p}: {}", recovered.report);
                 }
@@ -356,7 +355,7 @@ impl SweepArgs {
                 recovered.atlas
             } else {
                 bnf_atlas::ClassificationAtlas::open(p)
-                    .unwrap_or_else(|e| panic!("cannot open atlas {p}: {e}"))
+                    .unwrap_or_else(|e| atlas_failure("open", p.as_ref(), &e))
             }
         });
         // Scope the process-wide recorder to this run, then let the
@@ -368,6 +367,21 @@ impl SweepArgs {
             bnf_obs::heartbeat::expected_connected(n),
         );
         if let Some(atlas) = &atlas {
+            // A store that already covers the order replays it warm —
+            // also on `--resume`, where nothing is left to redo. A shard
+            // always runs: its segment is one host's share.
+            let started = std::time::Instant::now();
+            let replayed = (self.shard.is_none() && atlas.coverage(n).is_some())
+                .then(|| atlas.complete_sweep(n))
+                .flatten();
+            let elapsed_ms = started.elapsed().as_millis() as u64;
+            // Anything else appends: a read-only (v3) store refuses
+            // before any work runs.
+            if replayed.is_none() {
+                if let Err(e) = atlas.check_writable() {
+                    atlas_failure("append to", atlas.path(), &e);
+                }
+            }
             // Merged-store provenance: a store assembled by shard_merge
             // or the orchestrator carries per-range metadata; the RSS
             // summary counts each *process* once (in-process ranges share
@@ -383,16 +397,9 @@ impl SweepArgs {
                     sum as f64 / 1024.0,
                 );
             }
-            // A store that already covers the order replays it warm —
-            // also on `--resume`, where nothing is left to redo. A shard
-            // always runs: its segment is one host's share.
-            if self.shard.is_none() && atlas.coverage(n).is_some() {
-                let started = std::time::Instant::now();
-                if let Some(records) = atlas.complete_sweep(n) {
-                    let elapsed_ms = started.elapsed().as_millis() as u64;
-                    let windows = WindowSweep { n, records };
-                    return report_replay(windows, elapsed_ms, atlas, self.report_json);
-                }
+            if let Some(records) = replayed {
+                let windows = WindowSweep { n, records };
+                return report_replay(windows, elapsed_ms, atlas, self.report_json);
             }
         }
         run_orchestrated_cli(threads, self, atlas, dropped_tail)
@@ -426,6 +433,24 @@ fn report_replay(
     );
     finish_manifest(manifest, report_json);
     windows
+}
+
+/// Reports an atlas that cannot be opened or written as one
+/// `<tool>: cannot <action> atlas <path>: <reason>` line and exits with
+/// status 1 — a problem with the store, not with the command line, and
+/// never a panic. A torn tail (seen only without `--resume`) names the
+/// remedy.
+fn atlas_failure(action: &str, path: &std::path::Path, error: &bnf_atlas::AtlasError) -> ! {
+    let hint = match error {
+        bnf_atlas::AtlasError::Torn { .. } => "; re-run with --resume",
+        _ => "",
+    };
+    eprintln!(
+        "{}: cannot {action} atlas {}: {error}{hint}",
+        tool_name(),
+        path.display()
+    );
+    std::process::exit(1)
 }
 
 /// The invoking binary's name (`fig2_avg_poa`, …), for manifests and
@@ -533,7 +558,7 @@ fn run_orchestrated_cli(
     let lookup = match &atlas {
         Some(a) if !a.is_empty() => Some(
             bnf_atlas::ClassificationAtlas::open(a.path())
-                .unwrap_or_else(|e| panic!("cannot reopen atlas for lookups: {e}")),
+                .unwrap_or_else(|e| atlas_failure("open", a.path(), &e)),
         ),
         _ => None,
     };
@@ -605,7 +630,7 @@ fn run_orchestrated_cli(
         if let Some(atlas) = atlas.as_mut() {
             let appended = atlas
                 .append_records(seg.records)
-                .unwrap_or_else(|e| panic!("atlas append failed: {e}"));
+                .unwrap_or_else(|e| atlas_failure("append to", atlas.path(), &e));
             appended_total += appended;
             hits_total += seg.records.len() - appended;
             let meta = bnf_atlas::ShardMeta {
@@ -624,7 +649,7 @@ fn run_orchestrated_cli(
             };
             atlas
                 .append_shard_meta(&meta)
-                .unwrap_or_else(|e| panic!("atlas metadata append failed: {e}"));
+                .unwrap_or_else(|e| atlas_failure("append to", atlas.path(), &e));
             // The crash-safety kill point of the whole sweep stack:
             // this range is now durably committed (records + meta
             // fsynced), so a fault armed here (BNF_FAULT, see
@@ -683,7 +708,7 @@ fn run_orchestrated_cli(
         if args.shard.is_none() {
             let coverage = atlas
                 .declare_sharded_coverage()
-                .unwrap_or_else(|e| panic!("atlas coverage declaration failed: {e}"));
+                .unwrap_or_else(|e| atlas_failure("append to", atlas.path(), &e));
             for (order, outcome) in coverage {
                 if order != n {
                     continue;
